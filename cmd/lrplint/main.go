@@ -1,6 +1,6 @@
 // Command lrplint runs the repository's static-analysis suite: the
-// determinism, mbufown, eventhandle, hotalloc, stepfn, and stepreq
-// analyzers (see internal/analysis and the "Static analysis & invariants"
+// determinism, mbufown, eventhandle, hotalloc, and stepreq analyzers
+// (see internal/analysis and the "Static analysis & invariants"
 // sections of DESIGN.md). It exits nonzero when any finding survives, so
 // CI can gate on it:
 //

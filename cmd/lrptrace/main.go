@@ -17,6 +17,7 @@ import (
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
 	"lrp/internal/sim"
+	"lrp/internal/socket"
 )
 
 func main() {
@@ -49,23 +50,68 @@ func main() {
 
 	// Scenario: an echo exchange, then a small burst that overflows the
 	// receiver, so the trace shows dispatch, demux, delivery and drops.
-	server.K.Spawn("echo", 0, func(p *kernel.Proc) {
-		s := server.NewUDPSocket(p)
-		_ = server.BindUDP(s, 7)
+	var (
+		echoPC   int
+		echoSock *socket.Socket
+		echoRecv core.RecvFromOp
+		echoSend core.SendToOp
+	)
+	server.K.SpawnStep("echo", 0, func(p *kernel.Proc) {
 		for {
-			d, err := server.RecvFrom(p, s)
-			if err != nil {
-				return
+			switch echoPC {
+			case 0:
+				echoSock = server.NewUDPSocket(p)
+				_ = server.BindUDP(echoSock, 7)
+				echoPC = 1
+			case 1:
+				if !server.RecvFromStep(p, echoSock, &echoRecv) {
+					return
+				}
+				if echoRecv.Err != nil {
+					p.ReqExit()
+					return
+				}
+				echoSend.Reset()
+				echoPC = 2
+			case 2:
+				d := echoRecv.D
+				if !server.SendToStep(p, echoSock, d.Src, d.SPort, d.Data, &echoSend) {
+					return
+				}
+				echoRecv.Reset()
+				echoPC = 1
+				if p.ReqCompute(500) { // slow consumer: the burst will overflow queues
+					return
+				}
 			}
-			_ = server.SendTo(p, s, d.Src, d.SPort, d.Data)
-			p.Compute(500) // slow consumer: the burst will overflow queues
 		}
 	})
-	client.K.Spawn("client", 0, func(p *kernel.Proc) {
-		s := client.NewUDPSocket(p)
-		_ = client.BindUDP(s, 0)
-		_ = client.SendTo(p, s, serverAddr, 7, []byte("ping"))
-		_, _, _ = client.RecvFromTimeout(p, s, 100*sim.Millisecond)
+	var (
+		cliPC   int
+		cliSock *socket.Socket
+		ping    core.SendToOp
+		reply   = core.RecvFromOp{Timed: true, Timeout: 100 * sim.Millisecond}
+	)
+	client.K.SpawnStep("client", 0, func(p *kernel.Proc) {
+		for {
+			switch cliPC {
+			case 0:
+				if cliSock == nil {
+					cliSock = client.NewUDPSocket(p)
+					_ = client.BindUDP(cliSock, 0)
+				}
+				if !client.SendToStep(p, cliSock, serverAddr, 7, []byte("ping"), &ping) {
+					return
+				}
+				cliPC = 1
+			case 1:
+				if !client.RecvFromStep(p, cliSock, &reply) {
+					return
+				}
+				p.ReqExit()
+				return
+			}
+		}
 	})
 	eng.At(5*sim.Millisecond, func() {
 		for i := 0; i < 100; i++ {

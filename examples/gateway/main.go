@@ -44,11 +44,7 @@ func run(arch core.Arch, nice int) (fwdRate, appShare float64) {
 	defer dst.Shutdown()
 	gw.EnableForwarding(nice)
 
-	app := gw.K.Spawn("local-app", 0, func(p *kernel.Proc) {
-		for {
-			p.Compute(sim.Millisecond)
-		}
-	})
+	app := gw.K.SpawnStep("local-app", 0, kernel.Hog(sim.Millisecond))
 
 	// Transit traffic arrives at the gateway's NIC addressed elsewhere.
 	nic, _ := nw.LookupNIC(gwAddr)

@@ -18,11 +18,8 @@
 //
 // Across all internal packages (not just sim-core) it forbids goroutine
 // creation, select statements, and imports of sync or sync/atomic, with
-// two escapes: lrp/internal/runner (the experiment sweep worker pool —
-// the one deliberately concurrent package) is allowlisted wholesale, and
-// the kernel may mark a `go` statement with `//lrp:coroutine` for its
-// strict-handoff process coroutines, which keep exactly one goroutine
-// runnable at a time and are therefore deterministic.
+// one escape: lrp/internal/runner (the experiment sweep worker pool — the
+// one deliberately concurrent package) is allowlisted wholesale.
 //
 // The wall-clock, global-rand, and map-iteration bans are also enforced
 // transitively: a helper outside the sim-core set that is reachable (via
@@ -78,11 +75,6 @@ var concurrencyAllowed = map[string]bool{
 	"lrp/internal/runner": true,
 }
 
-// coroutinePkg is the only package whose `go` statements may carry the
-// //lrp:coroutine waiver: the kernel's simulated processes are goroutines
-// driven by strict channel handoff (exactly one runnable at any instant).
-const coroutinePkg = "lrp/internal/kernel"
-
 // bannedTime are the "time" package functions that read the wall clock or
 // create real timers.
 var bannedTime = map[string]bool{
@@ -129,13 +121,9 @@ func run(pass *framework.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !checkConc {
-					return true
+				if checkConc {
+					pass.Reportf(n.Pos(), "go statement spawns a goroutine: simulation code is single-threaded")
 				}
-				if pass.PkgPath == coroutinePkg && pass.LineDirective(n.Pos(), "lrp:coroutine") {
-					return true
-				}
-				pass.Reportf(n.Pos(), "go statement spawns a goroutine: simulation code is single-threaded (kernel coroutines must carry //lrp:coroutine)")
 			case *ast.SelectStmt:
 				if checkConc {
 					pass.Reportf(n.Pos(), "select statement: simulation code is single-threaded by construction")

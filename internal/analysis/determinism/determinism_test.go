@@ -31,8 +31,8 @@ func TestRunnerConcurrencyAllowed(t *testing.T) {
 	analysistest.Run(t, determinism.Analyzer, "testdata/runnerok", "lrp/internal/runner")
 }
 
-// TestKernelCoroutineWaiver pins the one sanctioned go statement form:
-// kernel coroutines annotated //lrp:coroutine pass, bare ones fail.
-func TestKernelCoroutineWaiver(t *testing.T) {
+// TestKernelGoStatementRejected pins that the kernel, like every other
+// simulation package, may start no goroutine.
+func TestKernelGoStatementRejected(t *testing.T) {
 	analysistest.Run(t, determinism.Analyzer, "testdata/kernelco", "lrp/internal/kernel")
 }

@@ -1,10 +1,10 @@
 // Package kernelco poses as "lrp/internal/kernel" in the determinism
-// analyzer's tests: a `go` statement carrying the //lrp:coroutine waiver
-// (the kernel's strict-handoff process coroutines) is permitted; a bare
-// one is not.
+// analyzer's tests: processes are stackless step functions, so the kernel
+// gets no exemption from the goroutine rule — it may start no goroutine
+// in any form.
 package kernelco
 
 func start(fn func()) {
-	go fn() //lrp:coroutine strict channel handoff keeps one goroutine runnable
-	go fn() // want `go statement spawns a goroutine`
+	go fn()              // want `go statement spawns a goroutine`
+	go func() { fn() }() // want `go statement spawns a goroutine`
 }

@@ -21,7 +21,6 @@ import (
 	"lrp/internal/analysis/framework"
 	"lrp/internal/analysis/hotalloc"
 	"lrp/internal/analysis/mbufown"
-	"lrp/internal/analysis/stepfn"
 	"lrp/internal/analysis/stepreq"
 )
 
@@ -32,7 +31,6 @@ func Analyzers() []*framework.Analyzer {
 		mbufown.Analyzer,
 		eventhandle.Analyzer,
 		hotalloc.Analyzer,
-		stepfn.Analyzer,
 		stepreq.Analyzer,
 	}
 }

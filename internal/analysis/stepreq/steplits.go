@@ -1,22 +1,6 @@
-// Package stepfn enforces the stackless-process contract on kernel.StepFn
-// bodies (DESIGN.md §11): a step body runs inline on the scheduler's
-// goroutine, so it must never call the blocking Proc methods (Compute,
-// Sleep, Delay, Exit, Block, ...). Where a goroutine body blocks, a step
-// body stores the same typed request via the matching Req* setter and
-// returns; calling the blocking variant instead would panic at the first
-// yield — this analyzer moves that discovery to lint time.
-//
-// A "step body" is a function literal in StepFn position: passed to a
-// parameter of type kernel.StepFn (SpawnStep, SpawnStepCoro and their
-// wrappers), returned from a function whose result type is kernel.StepFn
-// (the step-factory idiom), or assigned to a StepFn variable or field.
-// Nested function literals inside a step body (timer callbacks and the
-// like) run in engine context under different rules and are not scanned.
-//
-// A literal whose opening line carries `//lrp:coroutine` is waived: it
-// marks a body written for goroutine hosting only (SpawnStepCoro), where
-// blocking calls are legal.
-package stepfn
+package stepreq
+
+// Locating step bodies: function literals in kernel.StepFn position.
 
 import (
 	"go/ast"
@@ -25,46 +9,12 @@ import (
 	"lrp/internal/analysis/framework"
 )
 
-// Analyzer is the stackless-contract check.
-var Analyzer = &framework.Analyzer{
-	Name: "stepfn",
-	Doc:  "check that StepFn bodies issue requests via Req* setters instead of calling blocking Proc methods",
-	Run:  run,
-}
-
-const kernelPkg = "lrp/internal/kernel"
-
-// blocking maps each blocking Proc method to the request setter a step
-// body must use instead.
-var blocking = map[string]string{
-	"Compute":       "ReqCompute",
-	"ComputeSys":    "ReqComputeSys",
-	"ComputeSysFor": "ReqComputeSysFor",
-	"Sleep":         "ReqSleep",
-	"SleepTimeout":  "ReqSleepTimeout",
-	"Delay":         "ReqDelay",
-	"Exit":          "ReqExit",
-}
-
-func run(pass *framework.Pass) error {
-	// The kernel owns the abstraction: SpawnStepCoro's driver loop and the
-	// request plumbing legitimately mix both calling conventions.
-	if pass.PkgPath == kernelPkg {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, lit := range StepLiterals(pass, f) {
-			checkBody(pass, lit)
-		}
-	}
-	return nil
-}
-
-// StepLiterals collects every function literal in StepFn position in f —
+// stepLiterals collects every function literal in StepFn position in f —
 // passed to a StepFn parameter, returned from a StepFn result slot, or
-// assigned to a StepFn variable or field. Shared with the stepreq
-// analyzer, which verifies the request protocol of the same bodies.
-func StepLiterals(pass *framework.Pass, f *ast.File) []*ast.FuncLit {
+// assigned to a StepFn variable or field. Nested function literals inside
+// a step body (timer callbacks and the like) run in engine context and
+// are not step bodies unless they too sit in StepFn position.
+func stepLiterals(pass *framework.Pass, f *ast.File) []*ast.FuncLit {
 	var out []*ast.FuncLit
 	seen := map[*ast.FuncLit]bool{}
 	add := func(e ast.Expr) {
@@ -144,37 +94,6 @@ func collectReturns(pass *framework.Pass, sig *types.Signature, body *ast.BlockS
 	})
 }
 
-// checkBody flags blocking Proc calls inside one step body.
-func checkBody(pass *framework.Pass, lit *ast.FuncLit) {
-	if pass.LineDirective(lit.Pos(), "lrp:coroutine") {
-		return // declared goroutine-mode: blocking is the convention
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
-			return false // nested closures run in engine context
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		recv := pass.TypesInfo.TypeOf(sel.X)
-		if !IsProc(recv) {
-			return true
-		}
-		name := sel.Sel.Name
-		if req, bad := blocking[name]; bad {
-			pass.Reportf(call.Pos(), "step body calls the blocking Proc.%s: a stackless body must store the request with %s and return (//lrp:coroutine waives goroutine-mode bodies)", name, req)
-		} else if name == "Block" {
-			pass.Reportf(call.Pos(), "step body calls Proc.Block: a step returns to the scheduler instead of blocking (//lrp:coroutine waives goroutine-mode bodies)")
-		}
-		return true
-	})
-}
-
 // calleeSignature resolves the signature of a call's callee, nil for type
 // conversions and non-function callees.
 func calleeSignature(pass *framework.Pass, call *ast.CallExpr) *types.Signature {
@@ -247,7 +166,7 @@ func isStepFn(t types.Type) bool {
 }
 
 // IsProc reports whether t is kernel.Proc or a pointer to it.
-func IsProc(t types.Type) bool {
+func isProc(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}

@@ -1,12 +1,10 @@
 // Package stepreq verifies the request protocol of the stackless-process
 // machinery (DESIGN.md §11) by abstract interpretation of step bodies and
-// step helper machines. The stepfn analyzer checks the calling convention
-// (Req* setters instead of blocking methods); this analyzer checks the
-// protocol itself, the part the runtime can only catch as a panic on a
-// path actually executed:
+// step helper machines — the part of the protocol the runtime can only
+// catch as a panic on a path actually executed:
 //
 //   - a kernel.StepFn body must store exactly one request via a Req*
-//     setter before returning (kernel.stepStackless panics otherwise), on
+//     setter before returning (kernel.runProcStep panics otherwise), on
 //     every path;
 //   - a step helper machine (`func(p *kernel.Proc, ..., fr *Op) bool`)
 //     must have a request pending on every `return false` (yield) path
@@ -54,7 +52,6 @@ import (
 	"go/types"
 
 	"lrp/internal/analysis/framework"
-	"lrp/internal/analysis/stepfn"
 )
 
 // Analyzer is the step-request protocol check.
@@ -82,8 +79,8 @@ var alwaysReq = map[string]bool{
 }
 
 func run(pass *framework.Pass) error {
-	// The kernel owns the abstraction: its drivers and setters mix the
-	// conventions legitimately.
+	// The kernel owns the abstraction: its dispatcher and setters handle
+	// requests directly.
 	if pass.PkgPath == kernelPkg {
 		return nil
 	}
@@ -102,10 +99,7 @@ func run(pass *framework.Pass) error {
 			an := &analyzer{pass: pass, helpers: helpers, lits: lits, helper: true}
 			an.analyze(fd.Body)
 		}
-		for _, lit := range stepfn.StepLiterals(pass, f) {
-			if pass.LineDirective(lit.Pos(), "lrp:coroutine") {
-				continue // goroutine-mode body: Block-driven, different rules
-			}
+		for _, lit := range stepLiterals(pass, f) {
 			an := &analyzer{pass: pass, helpers: helpers, lits: lits, helper: false}
 			an.analyze(lit.Body)
 		}
@@ -143,7 +137,7 @@ func helperFuncs(prog *framework.Program) map[*types.Func]bool {
 				return true
 			}
 			name := sel.Sel.Name
-			if _, cond := condReq[name]; (cond || alwaysReq[name]) && stepfn.IsProc(info.TypeOf(sel.X)) {
+			if _, cond := condReq[name]; (cond || alwaysReq[name]) && isProc(info.TypeOf(sel.X)) {
 				arms[fi.Fn] = true
 				return false
 			}
@@ -175,7 +169,7 @@ func helperFuncs(prog *framework.Program) map[*types.Func]bool {
 			continue
 		}
 		for i := 0; i < sig.Params().Len(); i++ {
-			if stepfn.IsProc(sig.Params().At(i).Type()) {
+			if isProc(sig.Params().At(i).Type()) {
 				h[fi.Fn] = true
 				break
 			}
@@ -631,7 +625,7 @@ func (an *analyzer) reqCall(call *ast.CallExpr) (name string, conditional, ok bo
 	if !isCond && !alwaysReq[name] {
 		return "", false, false
 	}
-	if !stepfn.IsProc(an.pass.TypesInfo.TypeOf(sel.X)) {
+	if !isProc(an.pass.TypesInfo.TypeOf(sel.X)) {
 		return "", false, false
 	}
 	if isCond && costArg < len(call.Args) {
@@ -913,14 +907,6 @@ func (an *analyzer) execExprStmt(s *ast.ExprStmt, sts states) states {
 			out = append(out, outs...)
 		}
 		return pack(out)
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Block" &&
-		stepfn.IsProc(an.pass.TypesInfo.TypeOf(sel.X)) {
-		// Goroutine-mode driver: Block consumes the pending request.
-		return mapStates(sts, func(st state) state {
-			st.armed = aNone
-			return st
-		})
 	}
 	// Reset on a tracked frame.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Reset" {

@@ -13,8 +13,8 @@ import (
 // retry closure), discarded conditional-setter and helper results, frame
 // reuse without Reset, and mbuf locals held across a yield are flagged;
 // the dispatch-machine idiom with branch-correlated pc updates, constant
-// positive costs, Reset-between-operations, mbuf transfer, and
-// //lrp:coroutine bodies stay silent.
+// positive costs, Reset-between-operations, and mbuf transfer stay
+// silent.
 func TestStepProtocol(t *testing.T) {
 	analysistest.Run(t, stepreq.Analyzer, "testdata/stepproto", "lrp/internal/app")
 }

@@ -211,13 +211,3 @@ func spinner(k *kernel.Kernel) {
 		p.ReqCompute(10)
 	})
 }
-
-// coroWaived is driven in goroutine mode; the protocol does not apply.
-func coroWaived(k *kernel.Kernel, a *op) {
-	k.SpawnStepCoro("coro", 0, func(p *kernel.Proc) { //lrp:coroutine
-		for !stepOp(p, a) {
-			p.Block()
-		}
-		p.Exit()
-	})
-}

@@ -103,9 +103,6 @@ type BlastSink struct {
 	// CPU is the simulated CPU the sink process is spawned on (multi-CPU
 	// hosts; 0 — the boot CPU — otherwise).
 	CPU int
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Received metrics.Counter
 	Proc     *kernel.Proc
@@ -118,7 +115,7 @@ func (s *BlastSink) Start() {
 		pc   int
 		recv core.RecvFromOp
 	)
-	s.Proc = spawnStep(s.Host.KernelAt(s.CPU), "blast-sink", 0, s.Coroutine, func(p *kernel.Proc) {
+	s.Proc = s.Host.KernelAt(s.CPU).SpawnStep("blast-sink", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:

@@ -24,10 +24,6 @@ type HTTPServer struct {
 	// PerRequestCompute models request parsing, filesystem lookup and
 	// response generation.
 	PerRequestCompute int64
-	// Coroutine hosts the accept loop and handler processes on goroutine
-	// coroutines instead of stepping them stacklessly (the fallback
-	// execution mode).
-	Coroutine bool
 
 	Served  metrics.Counter
 	Proc    *kernel.Proc
@@ -53,7 +49,7 @@ func (s *HTTPServer) Start() {
 		lis core.ListenOp
 		acc core.AcceptOp
 	)
-	s.Proc = spawnStep(s.Host.K, "httpd", 0, s.Coroutine, func(p *kernel.Proc) {
+	s.Proc = s.Host.K.SpawnStep("httpd", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:
@@ -83,7 +79,7 @@ func (s *HTTPServer) Start() {
 				acc = core.AcceptOp{}
 				n++
 				name := fmt.Sprintf("httpd-%d", n)
-				spawnStep(s.Host.K, name, 0, s.Coroutine, s.handleStep(cs))
+				s.Host.K.SpawnStep(name, 0, s.handleStep(cs))
 			}
 		}
 	})
@@ -106,7 +102,7 @@ func (s *HTTPServer) handleStep(cs *socket.Socket) kernel.StepFn {
 					return
 				}
 				if rs.Err != nil || rs.Data == nil {
-					s.Host.AbortTCP(nil, cs)
+					s.Host.AbortTCP(cs)
 					p.ReqExit()
 					return
 				}
@@ -122,7 +118,7 @@ func (s *HTTPServer) handleStep(cs *socket.Socket) kernel.StepFn {
 					return
 				}
 				if ss.Err != nil {
-					s.Host.AbortTCP(nil, cs)
+					s.Host.AbortTCP(cs)
 					p.ReqExit()
 					return
 				}
@@ -154,9 +150,6 @@ type HTTPClient struct {
 	ServerAddr pkt.Addr
 	ServerPort uint16
 	Name       string
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Completed metrics.Counter
 	Failures  metrics.Counter
@@ -187,14 +180,14 @@ func (c *HTTPClient) Start() {
 		cl    core.CloseTCPOp
 	)
 	fail := func(p *kernel.Proc) bool {
-		c.Host.AbortTCP(nil, sck)
+		c.Host.AbortTCP(sck)
 		c.Failures.Inc()
 		pc = hcStart
 		// Brief pause before retrying a failed transfer, like a browser
 		// user.
 		return p.ReqDelay(100 * sim.Millisecond)
 	}
-	c.Proc = spawnStep(c.Host.K, c.Name, 0, c.Coroutine, func(p *kernel.Proc) {
+	c.Proc = c.Host.K.SpawnStep(c.Name, 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case hcStart:

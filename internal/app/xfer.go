@@ -17,9 +17,6 @@ import (
 type UDPWindowReceiver struct {
 	Host *core.Host
 	Port uint16
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Bytes metrics.Counter
 	Pkts  metrics.Counter
@@ -36,7 +33,7 @@ func (r *UDPWindowReceiver) Start() {
 		recv core.RecvFromOp
 		send core.SendToOp
 	)
-	r.Proc = spawnStep(r.Host.K, "udpwin-rx", 0, r.Coroutine, func(p *kernel.Proc) {
+	r.Proc = r.Host.K.SpawnStep("udpwin-rx", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:
@@ -92,9 +89,6 @@ type UDPWindowSender struct {
 	Size       int
 	Window     int
 	TotalBytes int64 // stop after this much (0: run forever)
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Sent     metrics.Counter
 	Finished bool
@@ -118,7 +112,7 @@ func (s *UDPWindowSender) Start() {
 		recv      core.RecvFromOp
 		send      core.SendToOp
 	)
-	s.Proc = spawnStep(s.Host.K, "udpwin-tx", 0, s.Coroutine, func(p *kernel.Proc) {
+	s.Proc = s.Host.K.SpawnStep("udpwin-tx", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:
@@ -187,9 +181,6 @@ type TCPTransfer struct {
 	ServerAddr pkt.Addr
 	Port       uint16
 	TotalBytes int
-	// Coroutine hosts both processes on goroutine coroutines instead of
-	// stepping them stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Received int
 	Started  sim.Time
@@ -207,7 +198,7 @@ func (x *TCPTransfer) Start() {
 		acc core.AcceptOp
 		rs  core.RecvStreamOp
 	)
-	spawnStep(x.Server.K, "tcpxfer-rx", 0, x.Coroutine, func(p *kernel.Proc) {
+	x.Server.K.SpawnStep("tcpxfer-rx", 0, func(p *kernel.Proc) {
 		for {
 			switch rpc {
 			case 0:
@@ -258,7 +249,7 @@ func (x *TCPTransfer) Start() {
 		ss    core.SendStreamOp
 		cls   core.CloseTCPOp
 	)
-	spawnStep(x.Client.K, "tcpxfer-tx", 0, x.Coroutine, func(p *kernel.Proc) {
+	x.Client.K.SpawnStep("tcpxfer-tx", 0, func(p *kernel.Proc) {
 		for {
 			switch tpc {
 			case 0:

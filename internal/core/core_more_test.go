@@ -34,14 +34,20 @@ func TestLRPFragmentChannelOutOfOrder(t *testing.T) {
 		t.Run(arch.String(), func(t *testing.T) {
 			r := newRig(t, arch)
 			var got int
-			r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-				s := r.server.NewUDPSocket(p)
-				_ = r.server.BindUDP(s, 7)
-				d, err := r.server.RecvFrom(p, s)
-				if err == nil {
-					got = len(d.Data)
-				}
-			})
+			var s *socket.Socket
+			var recv RecvFromOp
+			r.server.K.SpawnStep("recv", 0, body(
+				do(func(p *kernel.Proc) {
+					s = r.server.NewUDPSocket(p)
+					_ = r.server.BindUDP(s, 7)
+				}),
+				recvFrom(r.server, &s, &recv),
+				do(func(*kernel.Proc) {
+					if recv.Err == nil {
+						got = len(recv.D.Data)
+					}
+				}),
+			))
 			frags := fragments(25000, 42)
 			if len(frags) < 3 {
 				t.Fatalf("need ≥3 fragments, got %d", len(frags))
@@ -65,30 +71,24 @@ func TestConnectedUDPBeatsWildcard(t *testing.T) {
 	// peer; a wildcard socket on the same port gets everything else.
 	r := newRig(t, ArchSoftLRP)
 	var exact, wild int
-	r.server.K.Spawn("exact", 0, func(p *kernel.Proc) {
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 7)
-		// Rebind as connected to client port 5000.
-		_ = r.server.ConnectUDP(s, addrA, 5000)
-		for {
-			if _, err := r.server.RecvFrom(p, s); err != nil {
-				return
-			}
-			exact++
-		}
-	})
+	var s *socket.Socket
+	var recv RecvFromOp
+	r.server.K.SpawnStep("exact", 0, body(
+		do(func(p *kernel.Proc) {
+			s = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(s, 7)
+			// Rebind as connected to client port 5000.
+			_ = r.server.ConnectUDP(s, addrA, 5000)
+		}),
+		loop(-1,
+			recvFrom(r.server, &s, &recv),
+			exitIf(func(*kernel.Proc) bool { return recv.Err != nil }),
+			do(func(*kernel.Proc) { exact++ }),
+		),
+	))
 	r.eng.RunFor(10 * sim.Millisecond)
 	// A wildcard socket on a second port receives unrelated traffic.
-	r.server.K.Spawn("wild", 0, func(p *kernel.Proc) {
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 8)
-		for {
-			if _, err := r.server.RecvFrom(p, s); err != nil {
-				return
-			}
-			wild++
-		}
-	})
+	r.server.K.SpawnStep("wild", 0, udpReceiver(r.server, 8, 0, func(*kernel.Proc, socket.Datagram) { wild++ }))
 	r.eng.At(20*1000, func() {
 		r.nw.Inject(pkt.UDPPacket(addrA, addrB, 5000, 7, 1, 64, []byte("to-exact"), true))
 		r.nw.Inject(pkt.UDPPacket(addrA, addrB, 5001, 8, 2, 64, []byte("to-wild"), true))
@@ -101,7 +101,7 @@ func TestConnectedUDPBeatsWildcard(t *testing.T) {
 
 func TestBindConflict(t *testing.T) {
 	r := newRig(t, ArchBSD)
-	r.server.K.Spawn("binder", 0, func(p *kernel.Proc) {
+	r.server.K.SpawnStep("binder", 0, body(do(func(p *kernel.Proc) {
 		a := r.server.NewUDPSocket(p)
 		if err := r.server.BindUDP(a, 7); err != nil {
 			t.Errorf("first bind: %v", err)
@@ -122,7 +122,7 @@ func TestBindConflict(t *testing.T) {
 			}
 			seen[s.LPort] = true
 		}
-	})
+	})))
 	r.eng.RunFor(100 * sim.Millisecond)
 }
 
@@ -135,34 +135,33 @@ func TestNILRPTimeWaitChannelHandlesLateSegments(t *testing.T) {
 	r.client.CM.TimeWaitDur = 2 * sim.Second
 	var clientSock *socket.Socket
 	done := false
-	r.server.K.Spawn("srv", 0, func(p *kernel.Proc) {
-		l := r.server.NewTCPSocket(p)
-		_ = r.server.BindTCP(l, 80)
-		_ = r.server.Listen(p, l, 5)
-		cs, err := r.server.Accept(p, l)
-		if err != nil {
-			return
-		}
-		_, _ = r.server.RecvStream(p, cs, 100)
-		r.server.CloseTCP(p, cs) // server closes first -> server TIME_WAIT
-	})
-	r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-		s := r.client.NewTCPSocket(p)
-		clientSock = s
-		if err := r.client.ConnectTCP(p, s, addrB, 80); err != nil {
-			t.Error(err)
-			return
-		}
-		_, _ = r.client.SendStream(p, s, []byte("x"))
-		for {
-			data, err := r.client.RecvStream(p, s, 100)
-			if err != nil || data == nil {
-				break
-			}
-		}
-		r.client.CloseTCP(p, s)
-		done = true
-	})
+	var l *socket.Socket
+	var lis ListenOp
+	var acc AcceptOp
+	var rs RecvStreamOp
+	r.server.K.SpawnStep("srv", 0, body(
+		do(func(p *kernel.Proc) {
+			l = r.server.NewTCPSocket(p)
+			_ = r.server.BindTCP(l, 80)
+		}),
+		listen(r.server, &l, 5, &lis),
+		accept(r.server, &l, &acc),
+		exitIf(func(*kernel.Proc) bool { return acc.Err != nil }),
+		recvStream(r.server, &acc.NS, 100, &rs),
+		closeTCP(r.server, &acc.NS), // server closes first -> server TIME_WAIT
+	))
+	var conn ConnectTCPOp
+	var cw SendStreamOp
+	var cr RecvStreamOp
+	r.client.K.SpawnStep("cli", 0, body(
+		do(func(p *kernel.Proc) { clientSock = r.client.NewTCPSocket(p) }),
+		connect(r.client, &clientSock, addrB, 80, &conn),
+		exitIf(func(*kernel.Proc) bool { return failed(t, conn.Err) }),
+		sendStream(r.client, &clientSock, bytesOf([]byte("x")), &cw),
+		readToEOF(r.client, &clientSock, 100, &cr, nil),
+		closeTCP(r.client, &clientSock),
+		do(func(*kernel.Proc) { done = true }),
+	))
 	r.eng.RunFor(sim.Second)
 	if !done {
 		t.Fatal("exchange incomplete")
@@ -205,15 +204,7 @@ func TestMbufPoolExhaustionDropsAtNIC(t *testing.T) {
 	nw := netsim.New(eng)
 	server := NewHost(eng, nw, Config{Name: "srv", Addr: addrB, Arch: ArchBSD, Costs: cm})
 	defer server.Shutdown()
-	server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		s := server.NewUDPSocket(p)
-		_ = server.BindUDP(s, 7)
-		for {
-			if _, err := server.RecvFrom(p, s); err != nil {
-				return
-			}
-		}
-	})
+	server.K.SpawnStep("recv", 0, udpReceiver(server, 7, 0, nil))
 	eng.At(1000, func() {
 		for i := 0; i < 64; i++ {
 			nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, uint16(i), 64, make([]byte, 14), true))
@@ -235,25 +226,41 @@ func TestCrossArchitectureInterop(t *testing.T) {
 	defer server.Shutdown()
 	defer client.Shutdown()
 	var reply []byte
-	server.K.Spawn("echo", 0, func(p *kernel.Proc) {
-		s := server.NewUDPSocket(p)
-		_ = server.BindUDP(s, 7)
-		for {
-			d, err := server.RecvFrom(p, s)
-			if err != nil {
-				return
+	var ss, cs *socket.Socket
+	var srecv, crecv RecvFromOp
+	var up []byte
+	upper := func(b []byte) []byte {
+		up = append(up[:0], bytes.ToUpper(b)...)
+		return up
+	}
+	var ssend, csend SendToOp
+	server.K.SpawnStep("echo", 0, body(
+		do(func(p *kernel.Proc) {
+			ss = server.NewUDPSocket(p)
+			_ = server.BindUDP(ss, 7)
+		}),
+		loop(-1,
+			recvFrom(server, &ss, &srecv),
+			exitIf(func(*kernel.Proc) bool { return srecv.Err != nil }),
+			op(ssend.Reset, func(p *kernel.Proc) bool {
+				d := srecv.D
+				return server.SendToStep(p, ss, d.Src, d.SPort, upper(d.Data), &ssend)
+			}),
+		),
+	))
+	client.K.SpawnStep("cli", 0, body(
+		do(func(p *kernel.Proc) {
+			cs = client.NewUDPSocket(p)
+			_ = client.BindUDP(cs, 0)
+		}),
+		sendTo(client, &cs, addrB, 7, bytesOf([]byte("hello")), &csend),
+		recvFrom(client, &cs, &crecv),
+		do(func(*kernel.Proc) {
+			if crecv.Err == nil {
+				reply = crecv.D.Data
 			}
-			_ = server.SendTo(p, s, d.Src, d.SPort, bytes.ToUpper(d.Data))
-		}
-	})
-	client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-		s := client.NewUDPSocket(p)
-		_ = client.BindUDP(s, 0)
-		_ = client.SendTo(p, s, addrB, 7, []byte("hello"))
-		if d, err := client.RecvFrom(p, s); err == nil {
-			reply = d.Data
-		}
-	})
+		}),
+	))
 	eng.RunFor(sim.Second)
 	if string(reply) != "HELLO" {
 		t.Fatalf("got %q", reply)
@@ -264,14 +271,21 @@ func TestRecvFromTimeoutExpires(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	var timedOut bool
 	var elapsed sim.Time
-	r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 7)
-		start := p.Now()
-		_, ok, err := r.server.RecvFromTimeout(p, s, 50*sim.Millisecond)
-		timedOut = !ok && err == nil
-		elapsed = p.Now() - start
-	})
+	var s *socket.Socket
+	var start sim.Time
+	recv := RecvFromOp{Timed: true, Timeout: 50 * sim.Millisecond}
+	r.server.K.SpawnStep("recv", 0, body(
+		do(func(p *kernel.Proc) {
+			s = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(s, 7)
+			start = p.Now()
+		}),
+		recvFrom(r.server, &s, &recv),
+		do(func(p *kernel.Proc) {
+			timedOut = !recv.OK && recv.Err == nil
+			elapsed = p.Now() - start
+		}),
+	))
 	r.eng.RunFor(sim.Second)
 	if !timedOut {
 		t.Fatal("no timeout")
@@ -285,28 +299,41 @@ func TestCloseUDPWakesBlockedReceiver(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	var got error
 	var sock *socket.Socket
-	r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		sock = r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(sock, 7)
-		_, got = r.server.RecvFrom(p, sock)
-	})
-	r.eng.At(10*1000, func() { r.server.CloseUDP(nil, sock) })
+	var recv RecvFromOp
+	r.server.K.SpawnStep("recv", 0, body(
+		do(func(p *kernel.Proc) {
+			sock = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(sock, 7)
+		}),
+		recvFrom(r.server, &sock, &recv),
+		do(func(*kernel.Proc) { got = recv.Err }),
+	))
+	r.eng.At(10*1000, func() { r.server.CloseUDP(sock) })
 	r.eng.RunFor(100 * sim.Millisecond)
 	if got != ErrClosed {
 		t.Fatalf("blocked receiver got %v", got)
 	}
 }
 
+// TestTryRecvFrom pins the non-blocking receive: a deadline-bounded
+// RecvFromOp with a zero budget returns at once, with or without a
+// datagram.
 func TestTryRecvFrom(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	var first, second bool
-	r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 7)
-		_, first = r.server.TryRecvFrom(p, s)
-		p.Delay(20 * 1000)
-		_, second = r.server.TryRecvFrom(p, s)
-	})
+	var s *socket.Socket
+	try := RecvFromOp{Timed: true}
+	r.server.K.SpawnStep("recv", 0, body(
+		do(func(p *kernel.Proc) {
+			s = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(s, 7)
+		}),
+		recvFrom(r.server, &s, &try),
+		do(func(*kernel.Proc) { first = try.OK }),
+		delay(20*1000),
+		recvFrom(r.server, &s, &try),
+		do(func(*kernel.Proc) { second = try.OK }),
+	))
 	r.eng.At(10*1000, func() {
 		r.nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("x"), true))
 	})
@@ -342,25 +369,26 @@ func TestSharedSocketHighestPriorityProcesses(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	var normal, niced int
 	var sock *socket.Socket
-	r.server.K.Spawn("normal-reader", 0, func(p *kernel.Proc) {
-		sock = r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(sock, 7)
-		for {
-			if _, err := r.server.RecvFrom(p, sock); err != nil {
-				return
-			}
-			normal++
-		}
-	})
-	r.server.K.Spawn("niced-reader", 10, func(p *kernel.Proc) {
-		p.Delay(1000) // let the socket be created
-		for {
-			if _, err := r.server.RecvFrom(p, sock); err != nil {
-				return
-			}
-			niced++
-		}
-	})
+	// reader counts datagrams received on sock until it fails.
+	reader := func(n *int) stage {
+		var recv RecvFromOp
+		return loop(-1,
+			recvFrom(r.server, &sock, &recv),
+			exitIf(func(*kernel.Proc) bool { return recv.Err != nil }),
+			do(func(*kernel.Proc) { *n++ }),
+		)
+	}
+	r.server.K.SpawnStep("normal-reader", 0, body(
+		do(func(p *kernel.Proc) {
+			sock = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(sock, 7)
+		}),
+		reader(&normal),
+	))
+	r.server.K.SpawnStep("niced-reader", 10, body(
+		delay(1000), // let the socket be created
+		reader(&niced),
+	))
 	for i := 0; i < 20; i++ {
 		d := int64(5000 * (i + 2))
 		seq := uint16(i)
@@ -382,11 +410,11 @@ func TestOwnerlessSocketSurvives(t *testing.T) {
 	// A socket created by an exited process must not break the receive
 	// path bookkeeping (packets are dropped or queue up harmlessly).
 	r := newRig(t, ArchSoftLRP)
-	r.server.K.Spawn("creator", 0, func(p *kernel.Proc) {
+	r.server.K.SpawnStep("creator", 0, body(do(func(p *kernel.Proc) {
 		s := r.server.NewUDPSocket(p)
 		_ = r.server.BindUDP(s, 7)
 		// Exit immediately; the socket stays bound.
-	})
+	})))
 	r.eng.At(5000, func() {
 		for i := 0; i < 100; i++ {
 			r.nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, uint16(i), 64, []byte("x"), true))
@@ -398,15 +426,7 @@ func TestOwnerlessSocketSurvives(t *testing.T) {
 func TestTraceRecordsPacketPath(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	log := r.server.EnableTrace(256)
-	r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 7)
-		for {
-			if _, err := r.server.RecvFrom(p, s); err != nil {
-				return
-			}
-		}
-	})
+	r.server.K.SpawnStep("recv", 0, udpReceiver(r.server, 7, 0, nil))
 	r.eng.At(5000, func() {
 		r.nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("x"), true))
 	})
@@ -435,42 +455,34 @@ func TestTCPThroughLossyNetwork(t *testing.T) {
 			defer client.Shutdown()
 			const total = 512 * 1024
 			received := 0
-			server.K.Spawn("sink", 0, func(p *kernel.Proc) {
-				l := server.NewTCPSocket(p)
-				_ = server.BindTCP(l, 5001)
-				_ = server.Listen(p, l, 5)
-				cs, err := server.Accept(p, l)
-				if err != nil {
-					return
-				}
-				for {
-					data, err := server.RecvStream(p, cs, 64*1024)
-					if err != nil || data == nil {
-						return
-					}
-					received += len(data)
-				}
-			})
-			client.K.Spawn("src", 0, func(p *kernel.Proc) {
-				s := client.NewTCPSocket(p)
+			server.K.SpawnStep("sink", 0, tcpSink(server, 5001, func(data []byte) { received += len(data) }))
+			var s *socket.Socket
+			var conn ConnectTCPOp
+			var cw SendStreamOp
+			tries, connected := 0, false
+			chunk := make([]byte, 32*1024)
+			sent := 0
+			client.K.SpawnStep("src", 0, body(
+				do(func(p *kernel.Proc) { s = client.NewTCPSocket(p) }),
 				// Connect may need SYN retries under loss.
-				for tries := 0; tries < 5; tries++ {
-					if err := client.ConnectTCP(p, s, addrB, 5001); err == nil {
-						break
-					}
-					s = client.NewTCPSocket(p)
-				}
-				chunk := make([]byte, 32*1024)
-				sent := 0
-				for sent < total {
-					n, err := client.SendStream(p, s, chunk)
-					if err != nil {
-						return
-					}
-					sent += n
-				}
-				client.CloseTCP(p, s)
-			})
+				while(func() bool { return !connected && tries < 5 },
+					connect(client, &s, addrB, 5001, &conn),
+					do(func(p *kernel.Proc) {
+						tries++
+						if connected = conn.Err == nil; !connected {
+							s = client.NewTCPSocket(p)
+						}
+					}),
+				),
+				while(func() bool { return sent < total },
+					sendStream(client, &s, bytesOf(chunk), &cw),
+					exitIf(func(*kernel.Proc) bool {
+						sent += cw.Total
+						return cw.Err != nil
+					}),
+				),
+				closeTCP(client, &s),
+			))
 			eng.RunFor(120 * sim.Second)
 			if received != total {
 				t.Fatalf("received %d of %d through lossy network", received, total)
@@ -495,40 +507,21 @@ func TestAppThreadChargesTCPReceiverNotVictim(t *testing.T) {
 	defer server.Shutdown()
 	defer client.Shutdown()
 
-	victim := server.K.Spawn("victim", 0, func(p *kernel.Proc) {
-		for {
-			p.Compute(sim.Millisecond)
-		}
-	})
-	var receiver *kernel.Proc
-	server.K.Spawn("tcp-recv", 0, func(p *kernel.Proc) {
-		receiver = p
-		l := server.NewTCPSocket(p)
-		_ = server.BindTCP(l, 5001)
-		_ = server.Listen(p, l, 5)
-		cs, err := server.Accept(p, l)
-		if err != nil {
-			return
-		}
-		for {
-			data, err := server.RecvStream(p, cs, 64*1024)
-			if err != nil || data == nil {
-				return
-			}
-		}
-	})
-	client.K.Spawn("tcp-send", 0, func(p *kernel.Proc) {
-		s := client.NewTCPSocket(p)
-		if err := client.ConnectTCP(p, s, addrB, 5001); err != nil {
-			return
-		}
-		chunk := make([]byte, 32*1024)
-		for {
-			if _, err := client.SendStream(p, s, chunk); err != nil {
-				return
-			}
-		}
-	})
+	victim := server.K.SpawnStep("victim", 0, kernel.Hog(sim.Millisecond))
+	receiver := server.K.SpawnStep("tcp-recv", 0, tcpSink(server, 5001, nil))
+	var s *socket.Socket
+	var conn ConnectTCPOp
+	var cw SendStreamOp
+	chunk := make([]byte, 32*1024)
+	client.K.SpawnStep("tcp-send", 0, body(
+		do(func(p *kernel.Proc) { s = client.NewTCPSocket(p) }),
+		connect(client, &s, addrB, 5001, &conn),
+		exitIf(func(*kernel.Proc) bool { return conn.Err != nil }),
+		loop(-1,
+			sendStream(client, &s, bytesOf(chunk), &cw),
+			exitIf(func(*kernel.Proc) bool { return cw.Err != nil }),
+		),
+	))
 	eng.RunFor(3 * sim.Second)
 	if receiver.STime == 0 {
 		t.Fatal("receiver charged nothing for its TCP stream")
@@ -549,17 +542,7 @@ func TestRedundantPCBLookupCostsMore(t *testing.T) {
 		nw := netsim.New(eng)
 		server := NewHost(eng, nw, Config{Name: "srv", Addr: addrB, Arch: ArchSoftLRP, Costs: cm})
 		defer server.Shutdown()
-		var proc *kernel.Proc
-		server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-			proc = p
-			s := server.NewUDPSocket(p)
-			_ = server.BindUDP(s, 7)
-			for {
-				if _, err := server.RecvFrom(p, s); err != nil {
-					return
-				}
-			}
-		})
+		proc := server.K.SpawnStep("recv", 0, udpReceiver(server, 7, 0, nil))
 		for i := 0; i < 500; i++ {
 			d := int64(1000 * (i + 1))
 			eng.At(d, func() {
@@ -590,7 +573,7 @@ func TestUnregisterFilterCompactsHandles(t *testing.T) {
 
 	ports := []uint16{1001, 1002, 1003, 1004, 1005}
 	socks := make([]*socket.Socket, len(ports))
-	h.K.Spawn("setup", 0, func(p *kernel.Proc) {
+	h.K.SpawnStep("setup", 0, body(do(func(p *kernel.Proc) {
 		for i, port := range ports {
 			s := h.NewUDPSocket(p)
 			if err := h.BindUDP(s, port); err != nil {
@@ -601,9 +584,9 @@ func TestUnregisterFilterCompactsHandles(t *testing.T) {
 		}
 		// Close two sockets in the middle: both compact the handles of
 		// everything bound after them.
-		h.CloseUDP(p, socks[1])
-		h.CloseUDP(p, socks[3])
-	})
+		h.CloseUDP(socks[1])
+		h.CloseUDP(socks[3])
+	})))
 	eng.RunFor(sim.Second)
 
 	if n := h.filterDemux.Len(); n != 3 {

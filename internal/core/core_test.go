@@ -53,30 +53,44 @@ func forEachArch(t *testing.T, fn func(t *testing.T, r *rig)) {
 func TestUDPEndToEnd(t *testing.T) {
 	forEachArch(t, func(t *testing.T, r *rig) {
 		var got []socket.Datagram
-		r.server.K.Spawn("srv", 0, func(p *kernel.Proc) {
-			s := r.server.NewUDPSocket(p)
-			if err := r.server.BindUDP(s, 7); err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < 3; i++ {
-				d, err := r.server.RecvFrom(p, s)
-				if err != nil {
+		var ss, cs *socket.Socket
+		var recv RecvFromOp
+		r.server.K.SpawnStep("srv", 0, body(
+			exitIf(func(p *kernel.Proc) bool {
+				ss = r.server.NewUDPSocket(p)
+				if err := r.server.BindUDP(ss, 7); err != nil {
 					t.Error(err)
-					return
+					return true
 				}
-				got = append(got, d)
-			}
-		})
-		r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-			s := r.client.NewUDPSocket(p)
-			for i := 0; i < 3; i++ {
-				if err := r.client.SendTo(p, s, addrB, 7, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
-					t.Error(err)
-				}
-				p.Delay(1000)
-			}
-		})
+				return false
+			}),
+			loop(3,
+				recvFrom(r.server, &ss, &recv),
+				exitIf(func(*kernel.Proc) bool {
+					if recv.Err != nil {
+						t.Error(recv.Err)
+						return true
+					}
+					got = append(got, recv.D)
+					return false
+				}),
+			),
+		))
+		var send SendToOp
+		i := 0
+		r.client.K.SpawnStep("cli", 0, body(
+			do(func(p *kernel.Proc) { cs = r.client.NewUDPSocket(p) }),
+			loop(3,
+				sendTo(r.client, &cs, addrB, 7, func() []byte { return []byte(fmt.Sprintf("msg-%d", i)) }, &send),
+				do(func(*kernel.Proc) {
+					if send.Err != nil {
+						t.Error(send.Err)
+					}
+					i++
+				}),
+				delay(1000),
+			),
+		))
 		r.eng.RunFor(sim.Second)
 		if len(got) != 3 {
 			t.Fatalf("received %d datagrams", len(got))
@@ -94,29 +108,45 @@ func TestUDPEndToEnd(t *testing.T) {
 
 func TestUDPEcho(t *testing.T) {
 	forEachArch(t, func(t *testing.T, r *rig) {
-		r.server.K.Spawn("echo", 0, func(p *kernel.Proc) {
-			s := r.server.NewUDPSocket(p)
-			_ = r.server.BindUDP(s, 7)
-			for {
-				d, err := r.server.RecvFrom(p, s)
-				if err != nil {
-					return
-				}
-				_ = r.server.SendTo(p, s, d.Src, d.SPort, d.Data)
-			}
-		})
+		var ss *socket.Socket
+		var srecv RecvFromOp
+		var ssend SendToOp
+		r.server.K.SpawnStep("echo", 0, body(
+			do(func(p *kernel.Proc) {
+				ss = r.server.NewUDPSocket(p)
+				_ = r.server.BindUDP(ss, 7)
+			}),
+			loop(-1,
+				recvFrom(r.server, &ss, &srecv),
+				exitIf(func(*kernel.Proc) bool { return srecv.Err != nil }),
+				op(ssend.Reset, func(p *kernel.Proc) bool {
+					d := srecv.D
+					return r.server.SendToStep(p, ss, d.Src, d.SPort, d.Data, &ssend)
+				}),
+			),
+		))
 		var rtt int64
-		r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-			s := r.client.NewUDPSocket(p)
-			_ = r.client.BindUDP(s, 0)
-			start := p.Now()
-			_ = r.client.SendTo(p, s, addrB, 7, []byte("x"))
-			if _, err := r.client.RecvFrom(p, s); err != nil {
-				t.Error(err)
-				return
-			}
-			rtt = p.Now() - start
-		})
+		var start sim.Time
+		var cs *socket.Socket
+		var send SendToOp
+		var recv RecvFromOp
+		r.client.K.SpawnStep("cli", 0, body(
+			do(func(p *kernel.Proc) {
+				cs = r.client.NewUDPSocket(p)
+				_ = r.client.BindUDP(cs, 0)
+				start = p.Now()
+			}),
+			sendTo(r.client, &cs, addrB, 7, bytesOf([]byte("x")), &send),
+			recvFrom(r.client, &cs, &recv),
+			exitIf(func(p *kernel.Proc) bool {
+				if recv.Err != nil {
+					t.Error(recv.Err)
+					return true
+				}
+				rtt = p.Now() - start
+				return false
+			}),
+		))
 		r.eng.RunFor(sim.Second)
 		if rtt == 0 {
 			t.Fatal("no echo round trip")
@@ -132,18 +162,25 @@ func TestUDPLargeDatagramFragments(t *testing.T) {
 	forEachArch(t, func(t *testing.T, r *rig) {
 		payload := bytes.Repeat([]byte{0x42}, 30000) // > MTU: 4 fragments
 		var got []byte
-		r.server.K.Spawn("srv", 0, func(p *kernel.Proc) {
-			s := r.server.NewUDPSocket(p)
-			_ = r.server.BindUDP(s, 7)
-			d, err := r.server.RecvFrom(p, s)
-			if err == nil {
-				got = d.Data
-			}
-		})
-		r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-			s := r.client.NewUDPSocket(p)
-			_ = r.client.SendTo(p, s, addrB, 7, payload)
-		})
+		var ss, cs *socket.Socket
+		var recv RecvFromOp
+		r.server.K.SpawnStep("srv", 0, body(
+			do(func(p *kernel.Proc) {
+				ss = r.server.NewUDPSocket(p)
+				_ = r.server.BindUDP(ss, 7)
+			}),
+			recvFrom(r.server, &ss, &recv),
+			do(func(*kernel.Proc) {
+				if recv.Err == nil {
+					got = recv.D.Data
+				}
+			}),
+		))
+		var send SendToOp
+		r.client.K.SpawnStep("cli", 0, body(
+			do(func(p *kernel.Proc) { cs = r.client.NewUDPSocket(p) }),
+			sendTo(r.client, &cs, addrB, 7, bytesOf(payload), &send),
+		))
 		r.eng.RunFor(sim.Second)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("reassembled %d bytes, want %d", len(got), len(payload))
@@ -156,16 +193,7 @@ func TestUDPOverloadEarlyDiscardLocations(t *testing.T) {
 	// each architecture predicts: socket queue (BSD), NI channel (LRP),
 	// early discard (Early-Demux).
 	forEachArch(t, func(t *testing.T, r *rig) {
-		r.server.K.Spawn("slow", 0, func(p *kernel.Proc) {
-			s := r.server.NewUDPSocket(p)
-			_ = r.server.BindUDP(s, 7)
-			for {
-				if _, err := r.server.RecvFrom(p, s); err != nil {
-					return
-				}
-				p.Compute(2000) // 2ms per packet: max 500 pkts/s
-			}
-		})
+		r.server.K.SpawnStep("slow", 0, udpReceiver(r.server, 7, 2000, nil)) // 2ms per packet: max 500 pkts/s
 		// Inject 3000 pkts/s for half a second from a raw source.
 		payload := make([]byte, 14)
 		var inject func()
@@ -213,51 +241,44 @@ func TestTCPEndToEnd(t *testing.T) {
 		const msg = "GET / HTTP/1.0\r\n\r\n"
 		const reply = "HTTP/1.0 200 OK\r\n\r\nhello"
 		var gotReq, gotReply string
-		r.server.K.Spawn("srv", 0, func(p *kernel.Proc) {
-			l := r.server.NewTCPSocket(p)
-			_ = r.server.BindTCP(l, 80)
-			_ = r.server.Listen(p, l, 5)
-			cs, err := r.server.Accept(p, l)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			data, err := r.server.RecvStream(p, cs, 1024)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			gotReq = string(data)
-			if _, err := r.server.SendStream(p, cs, []byte(reply)); err != nil {
-				t.Error(err)
-			}
-			r.server.CloseTCP(p, cs)
-		})
-		r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-			s := r.client.NewTCPSocket(p)
-			if err := r.client.ConnectTCP(p, s, addrB, 80); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := r.client.SendStream(p, s, []byte(msg)); err != nil {
-				t.Error(err)
-				return
-			}
-			var buf []byte
-			for {
-				data, err := r.client.RecvStream(p, s, 1024)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if data == nil {
-					break // EOF
-				}
-				buf = append(buf, data...)
-			}
-			gotReply = string(buf)
-			r.client.CloseTCP(p, s)
-		})
+		var l *socket.Socket
+		var lis ListenOp
+		var acc AcceptOp
+		var rs RecvStreamOp
+		var ss SendStreamOp
+		r.server.K.SpawnStep("srv", 0, body(
+			do(func(p *kernel.Proc) {
+				l = r.server.NewTCPSocket(p)
+				_ = r.server.BindTCP(l, 80)
+			}),
+			listen(r.server, &l, 5, &lis),
+			accept(r.server, &l, &acc),
+			exitIf(func(*kernel.Proc) bool { return failed(t, acc.Err) }),
+			recvStream(r.server, &acc.NS, 1024, &rs),
+			exitIf(func(*kernel.Proc) bool {
+				gotReq = string(rs.Data)
+				return failed(t, rs.Err)
+			}),
+			sendStream(r.server, &acc.NS, bytesOf([]byte(reply)), &ss),
+			do(func(*kernel.Proc) { failed(t, ss.Err) }),
+			closeTCP(r.server, &acc.NS),
+		))
+		var cs *socket.Socket
+		var conn ConnectTCPOp
+		var cw SendStreamOp
+		var cr RecvStreamOp
+		var buf []byte
+		r.client.K.SpawnStep("cli", 0, body(
+			do(func(p *kernel.Proc) { cs = r.client.NewTCPSocket(p) }),
+			connect(r.client, &cs, addrB, 80, &conn),
+			exitIf(func(*kernel.Proc) bool { return failed(t, conn.Err) }),
+			sendStream(r.client, &cs, bytesOf([]byte(msg)), &cw),
+			exitIf(func(*kernel.Proc) bool { return failed(t, cw.Err) }),
+			readToEOF(r.client, &cs, 1024, &cr, func(data []byte) { buf = append(buf, data...) }),
+			exitIf(func(*kernel.Proc) bool { return failed(t, cr.Err) }),
+			do(func(*kernel.Proc) { gotReply = string(buf) }),
+			closeTCP(r.client, &cs),
+		))
 		r.eng.RunFor(5 * sim.Second)
 		if gotReq != msg {
 			t.Fatalf("server got %q", gotReq)
@@ -272,38 +293,38 @@ func TestTCPBulkTransfer(t *testing.T) {
 	forEachArch(t, func(t *testing.T, r *rig) {
 		const total = 2 << 20
 		var received int
-		r.server.K.Spawn("sink", 0, func(p *kernel.Proc) {
-			l := r.server.NewTCPSocket(p)
-			_ = r.server.BindTCP(l, 5001)
-			_ = r.server.Listen(p, l, 5)
-			cs, err := r.server.Accept(p, l)
-			if err != nil {
-				return
-			}
-			for {
-				data, err := r.server.RecvStream(p, cs, 64*1024)
-				if err != nil || data == nil {
-					return
-				}
-				received += len(data)
-			}
-		})
-		r.client.K.Spawn("src", 0, func(p *kernel.Proc) {
-			s := r.client.NewTCPSocket(p)
-			if err := r.client.ConnectTCP(p, s, addrB, 5001); err != nil {
-				return
-			}
-			chunk := make([]byte, 32*1024)
-			sent := 0
-			for sent < total {
-				n, err := r.client.SendStream(p, s, chunk)
-				if err != nil {
-					return
-				}
-				sent += n
-			}
-			r.client.CloseTCP(p, s)
-		})
+		var l *socket.Socket
+		var lis ListenOp
+		var acc AcceptOp
+		var rs RecvStreamOp
+		r.server.K.SpawnStep("sink", 0, body(
+			do(func(p *kernel.Proc) {
+				l = r.server.NewTCPSocket(p)
+				_ = r.server.BindTCP(l, 5001)
+			}),
+			listen(r.server, &l, 5, &lis),
+			accept(r.server, &l, &acc),
+			exitIf(func(*kernel.Proc) bool { return acc.Err != nil }),
+			readToEOF(r.server, &acc.NS, 64*1024, &rs, func(data []byte) { received += len(data) }),
+		))
+		var cs *socket.Socket
+		var conn ConnectTCPOp
+		var cw SendStreamOp
+		chunk := make([]byte, 32*1024)
+		sent := 0
+		r.client.K.SpawnStep("src", 0, body(
+			do(func(p *kernel.Proc) { cs = r.client.NewTCPSocket(p) }),
+			connect(r.client, &cs, addrB, 5001, &conn),
+			exitIf(func(*kernel.Proc) bool { return conn.Err != nil }),
+			while(func() bool { return sent < total },
+				sendStream(r.client, &cs, bytesOf(chunk), &cw),
+				exitIf(func(*kernel.Proc) bool {
+					sent += cw.Total
+					return cw.Err != nil
+				}),
+			),
+			closeTCP(r.client, &cs),
+		))
 		r.eng.RunFor(30 * sim.Second)
 		if received != total {
 			t.Fatalf("received %d of %d bytes", received, total)
@@ -315,12 +336,16 @@ func TestLRPSYNFloodDiscardsAtChannel(t *testing.T) {
 	// SYNs beyond the listen backlog must be dropped at the NI channel
 	// (processing disabled) under LRP, costing no protocol processing.
 	r := newRig(t, ArchSoftLRP)
-	r.server.K.Spawn("dummy", 0, func(p *kernel.Proc) {
-		l := r.server.NewTCPSocket(p)
-		_ = r.server.BindTCP(l, 99)
-		_ = r.server.Listen(p, l, 4)
-		p.Sleep(&l.AcceptWait) // never accepts
-	})
+	var l *socket.Socket
+	var lis ListenOp
+	r.server.K.SpawnStep("dummy", 0, body(
+		do(func(p *kernel.Proc) {
+			l = r.server.NewTCPSocket(p)
+			_ = r.server.BindTCP(l, 99)
+		}),
+		listen(r.server, &l, 4, &lis),
+		func(p *kernel.Proc) bool { return p.ReqSleep(&l.AcceptWait) }, // never accepts
+	))
 	// Flood fake SYNs from unique fake sources.
 	n := 0
 	var flood func()
@@ -354,41 +379,42 @@ func TestNIChannelDeallocInTimeWait(t *testing.T) {
 	r.server.CM.TimeWaitDur = 100 * 1000 // 100ms for test speed
 	r.client.CM.TimeWaitDur = 100 * 1000
 	done := 0
-	r.server.K.Spawn("srv", 0, func(p *kernel.Proc) {
-		l := r.server.NewTCPSocket(p)
-		_ = r.server.BindTCP(l, 80)
-		_ = r.server.Listen(p, l, 8)
-		for {
-			cs, err := r.server.Accept(p, l)
-			if err != nil {
-				return
-			}
+	var l *socket.Socket
+	var lis ListenOp
+	var acc AcceptOp
+	var rs RecvStreamOp
+	var ss SendStreamOp
+	r.server.K.SpawnStep("srv", 0, body(
+		do(func(p *kernel.Proc) {
+			l = r.server.NewTCPSocket(p)
+			_ = r.server.BindTCP(l, 80)
+		}),
+		listen(r.server, &l, 8, &lis),
+		loop(-1,
+			accept(r.server, &l, &acc),
+			exitIf(func(*kernel.Proc) bool { return acc.Err != nil }),
 			// Read request, reply, close (server does active close ->
 			// server side enters TIME_WAIT, as on a web server).
-			if data, _ := r.server.RecvStream(p, cs, 1024); data != nil {
-				_, _ = r.server.SendStream(p, cs, []byte("resp"))
-			}
-			r.server.CloseTCP(p, cs)
-		}
-	})
-	r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
-		for i := 0; i < 5; i++ {
-			s := r.client.NewTCPSocket(p)
-			if err := r.client.ConnectTCP(p, s, addrB, 80); err != nil {
-				t.Error(err)
-				return
-			}
-			_, _ = r.client.SendStream(p, s, []byte("req"))
-			for {
-				data, err := r.client.RecvStream(p, s, 1024)
-				if err != nil || data == nil {
-					break
-				}
-			}
-			r.client.CloseTCP(p, s)
-			done++
-		}
-	})
+			recvStream(r.server, &acc.NS, 1024, &rs),
+			op(func() { ss = SendStreamOp{Data: []byte("resp")} }, func(p *kernel.Proc) bool {
+				return rs.Data == nil || r.server.SendStreamStep(p, acc.NS, &ss)
+			}),
+			closeTCP(r.server, &acc.NS),
+		),
+	))
+	var cs *socket.Socket
+	var conn ConnectTCPOp
+	var cw SendStreamOp
+	var cr RecvStreamOp
+	r.client.K.SpawnStep("cli", 0, body(loop(5,
+		do(func(p *kernel.Proc) { cs = r.client.NewTCPSocket(p) }),
+		connect(r.client, &cs, addrB, 80, &conn),
+		exitIf(func(*kernel.Proc) bool { return failed(t, conn.Err) }),
+		sendStream(r.client, &cs, bytesOf([]byte("req")), &cw),
+		readToEOF(r.client, &cs, 1024, &cr, nil),
+		closeTCP(r.client, &cs),
+		do(func(*kernel.Proc) { done++ }),
+	)))
 	r.eng.RunFor(10 * sim.Second)
 	if done != 5 {
 		t.Fatalf("completed %d of 5 exchanges", done)
@@ -409,12 +435,14 @@ func TestICMPPing(t *testing.T) {
 		arch := arch
 		t.Run(arch.String(), func(t *testing.T) {
 			r := newRig(t, arch)
-			r.client.K.Spawn("ping", 0, func(p *kernel.Proc) {
-				for i := 0; i < 4; i++ {
-					r.client.Ping(p, addrB, uint16(i), 56)
-					p.Delay(10 * 1000)
-				}
-			})
+			i := 0
+			r.client.K.SpawnStep("ping", 0, body(loop(4,
+				do(func(*kernel.Proc) {
+					r.client.Ping(addrB, uint16(i), 56)
+					i++
+				}),
+				delay(10*1000),
+			)))
 			r.eng.RunFor(sim.Second)
 			if got := r.server.EchoReplies(); got != 4 {
 				t.Fatalf("server sent %d echo replies, want 4", got)
@@ -431,20 +459,8 @@ func TestLRPChargesReceiverNotVictim(t *testing.T) {
 		r := newRig(t, arch)
 		defer r.eng.Stop()
 		var victim, receiver *kernel.Proc
-		victim = r.server.K.Spawn("victim", 0, func(p *kernel.Proc) {
-			for {
-				p.Compute(10 * 1000)
-			}
-		})
-		receiver = r.server.K.Spawn("blast-recv", 0, func(p *kernel.Proc) {
-			s := r.server.NewUDPSocket(p)
-			_ = r.server.BindUDP(s, 7)
-			for {
-				if _, err := r.server.RecvFrom(p, s); err != nil {
-					return
-				}
-			}
-		})
+		victim = r.server.K.SpawnStep("victim", 0, kernel.Hog(10*1000))
+		receiver = r.server.K.SpawnStep("blast-recv", 0, udpReceiver(r.server, 7, 0, nil))
 		payload := make([]byte, 14)
 		n := 0
 		var inject func()
@@ -485,12 +501,14 @@ func TestIdleThreadProcessesWhenReceiverBusy(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	var sawProcessed bool
 	var sock *socket.Socket
-	r.server.K.Spawn("busy-recv", 0, func(p *kernel.Proc) {
-		sock = r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(sock, 7)
-		p.Delay(50 * 1000) // blocked on disk I/O while the packet arrives
-		sawProcessed = sock.RecvDgrams.Len() > 0
-	})
+	r.server.K.SpawnStep("busy-recv", 0, body(
+		do(func(p *kernel.Proc) {
+			sock = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(sock, 7)
+		}),
+		delay(50*1000), // blocked on disk I/O while the packet arrives
+		do(func(*kernel.Proc) { sawProcessed = sock.RecvDgrams.Len() > 0 }),
+	))
 	r.eng.At(5*1000, func() {
 		r.nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("hi"), true))
 	})
@@ -506,12 +524,15 @@ func TestNoIdleThreadLeavesPacketRaw(t *testing.T) {
 	server := NewHost(eng, nw, Config{Name: "server", Addr: addrB, Arch: ArchSoftLRP, NoIdleThread: true})
 	defer server.Shutdown()
 	var rawQueued bool
-	server.K.Spawn("busy-recv", 0, func(p *kernel.Proc) {
-		s := server.NewUDPSocket(p)
-		_ = server.BindUDP(s, 7)
-		p.Compute(50 * 1000)
-		rawQueued = s.NIChan.Queue.Len() > 0 && s.RecvDgrams.Len() == 0
-	})
+	var s *socket.Socket
+	server.K.SpawnStep("busy-recv", 0, body(
+		do(func(p *kernel.Proc) {
+			s = server.NewUDPSocket(p)
+			_ = server.BindUDP(s, 7)
+		}),
+		compute(50*1000),
+		do(func(*kernel.Proc) { rawQueued = s.NIChan.Queue.Len() > 0 && s.RecvDgrams.Len() == 0 }),
+	))
 	eng.At(5*1000, func() {
 		nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("hi"), true))
 	})
@@ -526,19 +547,19 @@ func TestCorruptedPacketsChargedToReceiverUnderLRP(t *testing.T) {
 	// processing is charged to the receiver — the scenario where
 	// early-demux-without-LRP stays vulnerable.
 	r := newRig(t, ArchSoftLRP)
-	var recvProc *kernel.Proc
-	var protoDrops func() uint64
-	r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		recvProc = p
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 7)
-		protoDrops = func() uint64 { return s.Stats.ProtoDrops }
-		for {
-			if _, err := r.server.RecvFrom(p, s); err != nil {
-				return
-			}
-		}
-	})
+	var s *socket.Socket
+	var recv RecvFromOp
+	recvProc := r.server.K.SpawnStep("recv", 0, body(
+		do(func(p *kernel.Proc) {
+			s = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(s, 7)
+		}),
+		loop(-1,
+			recvFrom(r.server, &s, &recv),
+			exitIf(func(*kernel.Proc) bool { return recv.Err != nil }),
+		),
+	))
+	protoDrops := func() uint64 { return s.Stats.ProtoDrops }
 	good := pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("payload"), true)
 	bad := pkt.Corrupt(good)
 	for i := 0; i < 50; i++ {
@@ -558,15 +579,19 @@ func TestHostStatsChannelsAccounting(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
 	base := r.server.Stats().Channels
 	var s1, s2 *socket.Socket
-	r.server.K.Spawn("a", 0, func(p *kernel.Proc) {
-		s1 = r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s1, 100)
-		s2 = r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s2, 101)
-		p.Delay(1000)
-		r.server.CloseUDP(p, s1)
-		r.server.CloseUDP(p, s2)
-	})
+	r.server.K.SpawnStep("a", 0, body(
+		do(func(p *kernel.Proc) {
+			s1 = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(s1, 100)
+			s2 = r.server.NewUDPSocket(p)
+			_ = r.server.BindUDP(s2, 101)
+		}),
+		delay(1000),
+		do(func(*kernel.Proc) {
+			r.server.CloseUDP(s1)
+			r.server.CloseUDP(s2)
+		}),
+	))
 	r.eng.RunFor(sim.Second)
 	st := r.server.Stats()
 	if st.Channels != base {

@@ -9,7 +9,6 @@ package core
 import (
 	"encoding/binary"
 
-	"lrp/internal/kernel"
 	"lrp/internal/pkt"
 	"lrp/internal/socket"
 )
@@ -32,7 +31,7 @@ func (h *Host) startICMPDaemon() {
 	h.icmpSock = s
 	h.attachChannel(s)
 	h.pcbs.BindProto(pkt.ProtoICMP, s)
-	proc := h.spawnDaemon(h.K, h.Name+"/icmpd", 0, h.icmpdStep(s))
+	proc := h.K.SpawnStep(h.Name+"/icmpd", 0, h.icmpdStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0
 	s.Owner = proc
 }
@@ -72,17 +71,16 @@ func (h *Host) icmpProcess(ih *pkt.IPv4Header, seg []byte) {
 		Dst:      ih.Src,
 	}
 	pkt.EncodeIPv4(reply, &oh)
-	_ = h.ipOutput(nil, nil, reply)
+	_ = h.ipOutput(nil, reply)
 }
 
 // EchoReplies returns the number of ICMP echo replies the host has sent.
 func (h *Host) EchoReplies() uint64 { return h.icmpEchoReplies }
 
-// Ping sends an ICMP echo request from process p and returns once it has
-// been transmitted (replies arrive asynchronously; use EchoesReceived on
-// the sender to observe them). payloadLen pads the request.
-func (h *Host) Ping(p *kernel.Proc, dst pkt.Addr, seqno uint16, payloadLen int) {
-	p.ComputeSys(h.CM.SyscallFixed + h.CM.IPOutCost)
+// Ping transmits an ICMP echo request from engine context (no CPU is
+// charged). The responder answers asynchronously and counts each reply
+// it sends in EchoReplies. payloadLen pads the request.
+func (h *Host) Ping(dst pkt.Addr, seqno uint16, payloadLen int) {
 	seg := make([]byte, 8+payloadLen)
 	seg[0] = 8 // echo request
 	binary.BigEndian.PutUint16(seg[6:], seqno)
@@ -98,5 +96,5 @@ func (h *Host) Ping(p *kernel.Proc, dst pkt.Addr, seqno uint16, payloadLen int) 
 		Dst:      dst,
 	}
 	pkt.EncodeIPv4(b, &oh)
-	_ = h.ipOutput(p, nil, b)
+	_ = h.ipOutput(nil, b)
 }

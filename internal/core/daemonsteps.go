@@ -3,10 +3,8 @@ package core
 // Step-machine bodies for the host's kernel daemon processes: the APP
 // thread, the idle-time protocol processing thread, the ICMP proxy and
 // the IP forwarding daemon. Each *Step factory returns a kernel.StepFn
-// whose locals live in the closure, so the scheduler can run the daemon
-// stacklessly — one function call per dispatch, no goroutine switch. The
-// same StepFn also runs unchanged on a goroutine coroutine when
-// Config.CoroutineProcs selects the fallback execution mode.
+// whose locals live in the closure, so the scheduler runs the daemon as
+// one function call per dispatch.
 
 import (
 	"lrp/internal/kernel"
@@ -16,15 +14,6 @@ import (
 	"lrp/internal/sim"
 	"lrp/internal/socket"
 )
-
-// spawnDaemon starts a daemon process in the host's configured execution
-// mode: stackless by default, goroutine-hosted under CoroutineProcs.
-func (h *Host) spawnDaemon(k *kernel.Kernel, name string, nice int, step kernel.StepFn) *kernel.Proc {
-	if h.coroProcs {
-		return k.SpawnStepCoro(name, nice, step)
-	}
-	return k.SpawnStep(name, nice, step)
-}
 
 // APP thread machine states.
 const (

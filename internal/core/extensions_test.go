@@ -11,6 +11,7 @@ import (
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
 	"lrp/internal/sim"
+	"lrp/internal/socket"
 )
 
 var groupAddr = pkt.IP(224, 1, 2, 3)
@@ -21,31 +22,32 @@ func TestMulticastFanout(t *testing.T) {
 		got := make([]int, members)
 		for i := 0; i < members; i++ {
 			i := i
-			r.server.K.Spawn(fmt.Sprintf("member-%d", i), 0, func(p *kernel.Proc) {
-				s := r.server.NewUDPSocket(p)
-				if err := r.server.JoinGroup(p, s, groupAddr, 5353); err != nil {
-					t.Error(err)
-					return
-				}
-				for {
-					if _, err := r.server.RecvFrom(p, s); err != nil {
-						return
-					}
-					got[i]++
-				}
-			})
+			var s *socket.Socket
+			var recv RecvFromOp
+			r.server.K.SpawnStep(fmt.Sprintf("member-%d", i), 0, body(
+				exitIf(func(p *kernel.Proc) bool {
+					s = r.server.NewUDPSocket(p)
+					return failed(t, r.server.JoinGroup(s, groupAddr, 5353))
+				}),
+				loop(-1,
+					recvFrom(r.server, &s, &recv),
+					exitIf(func(*kernel.Proc) bool { return recv.Err != nil }),
+					do(func(*kernel.Proc) { got[i]++ }),
+				),
+			))
 		}
 		// Sender on the client host.
-		r.client.K.Spawn("sender", 0, func(p *kernel.Proc) {
-			s := r.client.NewUDPSocket(p)
-			p.Delay(5000) // let every member join before the first send
-			for i := 0; i < 5; i++ {
-				if err := r.client.SendTo(p, s, groupAddr, 5353, []byte("announce")); err != nil {
-					t.Error(err)
-				}
-				p.Delay(2000)
-			}
-		})
+		var s *socket.Socket
+		var send SendToOp
+		r.client.K.SpawnStep("sender", 0, body(
+			do(func(p *kernel.Proc) { s = r.client.NewUDPSocket(p) }),
+			delay(5000), // let every member join before the first send
+			loop(5,
+				sendTo(r.client, &s, groupAddr, 5353, bytesOf([]byte("announce")), &send),
+				do(func(*kernel.Proc) { failed(t, send.Err) }),
+				delay(2000),
+			),
+		))
 		r.eng.RunFor(sim.Second)
 		for i, n := range got {
 			if n != 5 {
@@ -60,37 +62,37 @@ func TestMulticastSharesOneChannel(t *testing.T) {
 	// single NI channel."
 	r := newRig(t, ArchSoftLRP)
 	base := r.server.Stats().Channels
-	r.server.K.Spawn("joiner", 0, func(p *kernel.Proc) {
+	r.server.K.SpawnStep("joiner", 0, body(do(func(p *kernel.Proc) {
 		s1 := r.server.NewUDPSocket(p)
 		s2 := r.server.NewUDPSocket(p)
 		s3 := r.server.NewUDPSocket(p)
-		_ = r.server.JoinGroup(p, s1, groupAddr, 5353)
-		_ = r.server.JoinGroup(p, s2, groupAddr, 5353)
-		_ = r.server.JoinGroup(p, s3, groupAddr, 5353)
+		_ = r.server.JoinGroup(s1, groupAddr, 5353)
+		_ = r.server.JoinGroup(s2, groupAddr, 5353)
+		_ = r.server.JoinGroup(s3, groupAddr, 5353)
 		if got := r.server.Stats().Channels; got != base+1 {
 			t.Errorf("three members allocated %d channels, want 1", got-base)
 		}
-		r.server.LeaveGroup(p, s1)
-		r.server.LeaveGroup(p, s2)
+		r.server.LeaveGroup(s1)
+		r.server.LeaveGroup(s2)
 		if got := r.server.Stats().Channels; got != base+1 {
 			t.Errorf("channel freed while members remain: %d", got-base)
 		}
-		r.server.LeaveGroup(p, s3)
+		r.server.LeaveGroup(s3)
 		if got := r.server.Stats().Channels; got != base {
 			t.Errorf("last leave did not free the shared channel: %d", got-base)
 		}
-	})
+	})))
 	r.eng.RunFor(100 * sim.Millisecond)
 }
 
 func TestMulticastRequiresClassD(t *testing.T) {
 	r := newRig(t, ArchSoftLRP)
-	r.server.K.Spawn("joiner", 0, func(p *kernel.Proc) {
+	r.server.K.SpawnStep("joiner", 0, body(do(func(p *kernel.Proc) {
 		s := r.server.NewUDPSocket(p)
-		if err := r.server.JoinGroup(p, s, pkt.IP(10, 1, 1, 1), 5353); err == nil {
+		if err := r.server.JoinGroup(s, pkt.IP(10, 1, 1, 1), 5353); err == nil {
 			t.Error("joining a unicast address succeeded")
 		}
-	})
+	})))
 	r.eng.RunFor(10 * sim.Millisecond)
 }
 
@@ -117,16 +119,7 @@ func TestForwardingDaemon(t *testing.T) {
 			_ = farSrc
 
 			var got int
-			dst.K.Spawn("sink", 0, func(p *kernel.Proc) {
-				s := dst.NewUDPSocket(p)
-				_ = dst.BindUDP(s, 7)
-				for {
-					if _, err := dst.RecvFrom(p, s); err != nil {
-						return
-					}
-					got++
-				}
-			})
+			dst.K.SpawnStep("sink", 0, udpReceiver(dst, 7, 0, func(*kernel.Proc, socket.Datagram) { got++ }))
 			// Also check transit to an attached host: packets for dstAddr
 			// delivered to GW's NIC must be forwarded onward.
 			for i := 0; i < 10; i++ {
@@ -189,11 +182,7 @@ func TestLRPForwardingPriorityControls(t *testing.T) {
 		defer gw.Shutdown()
 		gw.EnableForwarding(nice)
 		// A local compute-bound application on the gateway.
-		app := gw.K.Spawn("localapp", 0, func(p *kernel.Proc) {
-			for {
-				p.Compute(sim.Millisecond)
-			}
-		})
+		app := gw.K.SpawnStep("localapp", 0, kernel.Hog(sim.Millisecond))
 		// Transit flood: 12k pkts/s through the gateway.
 		n, _ := nw.LookupNIC(gwAddr)
 		var pump func()
@@ -243,17 +232,7 @@ func TestPollingStableUnderOverload(t *testing.T) {
 		server := NewHost(eng, nw, Config{Name: "srv", Addr: addrB, Arch: arch})
 		defer server.Shutdown()
 		var got uint64
-		server.K.Spawn("sink", 0, func(p *kernel.Proc) {
-			s := server.NewUDPSocket(p)
-			_ = server.BindUDP(s, 7)
-			for {
-				if _, err := server.RecvFrom(p, s); err != nil {
-					return
-				}
-				got++
-				p.Compute(10)
-			}
-		})
+		server.K.SpawnStep("sink", 0, udpReceiver(server, 7, 10, func(*kernel.Proc, socket.Datagram) { got++ }))
 		rng := sim.NewRand(17)
 		var pump func()
 		pump = func() {
@@ -282,17 +261,9 @@ func TestPollingReturnsToInterrupts(t *testing.T) {
 	server := NewHost(eng, nw, Config{Name: "srv", Addr: addrB, Arch: ArchPolling})
 	defer server.Shutdown()
 	var rtts []int64
-	server.K.Spawn("echo", 0, func(p *kernel.Proc) {
-		s := server.NewUDPSocket(p)
-		_ = server.BindUDP(s, 7)
-		for {
-			d, err := server.RecvFrom(p, s)
-			if err != nil {
-				return
-			}
-			rtts = append(rtts, p.Now()-d.Arrival)
-		}
-	})
+	server.K.SpawnStep("echo", 0, udpReceiver(server, 7, 0, func(p *kernel.Proc, d socket.Datagram) {
+		rtts = append(rtts, p.Now()-d.Arrival)
+	}))
 	// Burst to force polled mode.
 	eng.At(1000, func() {
 		for i := 0; i < 64; i++ {
@@ -328,28 +299,10 @@ func TestPollingLacksTrafficSeparation(t *testing.T) {
 		server := NewHost(eng, nw, Config{Name: "srv", Addr: addrB, Arch: arch})
 		defer server.Shutdown()
 		// The overloaded socket.
-		server.K.Spawn("sink", 0, func(p *kernel.Proc) {
-			s := server.NewUDPSocket(p)
-			_ = server.BindUDP(s, 7)
-			for {
-				if _, err := server.RecvFrom(p, s); err != nil {
-					return
-				}
-				p.Compute(10)
-			}
-		})
+		server.K.SpawnStep("sink", 0, udpReceiver(server, 7, 10, nil))
 		// The victim flow: one probe every 10ms to a different socket.
 		var got int
-		server.K.Spawn("victim", 0, func(p *kernel.Proc) {
-			s := server.NewUDPSocket(p)
-			_ = server.BindUDP(s, 8)
-			for {
-				if _, err := server.RecvFrom(p, s); err != nil {
-					return
-				}
-				got++
-			}
-		})
+		server.K.SpawnStep("victim", 0, udpReceiver(server, 8, 0, func(*kernel.Proc, socket.Datagram) { got++ }))
 		rng := sim.NewRand(23)
 		var blast func()
 		blast = func() {

@@ -45,7 +45,7 @@ func (h *Host) EnableForwarding(nice int) {
 	h.sockets = append(h.sockets, s)
 	h.fwdSock = s
 	h.attachChannel(s)
-	proc := h.spawnDaemon(h.K, h.Name+"/ipfwd", nice, h.ipfwdStep(s))
+	proc := h.K.SpawnStep(h.Name+"/ipfwd", nice, h.ipfwdStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0
 	s.Owner = proc
 }
@@ -87,7 +87,7 @@ func (h *Host) forwardPacket(b []byte) {
 	ih.TTL--
 	_ = hlen
 	pkt.EncodeIPv4(out, &ih)
-	if h.ipOutput(nil, nil, out) == nil {
+	if h.ipOutput(nil, out) == nil {
 		h.fwdStats.Forwarded++
 	} else {
 		h.fwdStats.FwdErrors++

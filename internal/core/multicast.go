@@ -29,17 +29,15 @@ type mcastGroup struct {
 	members []*socket.Socket
 }
 
-// JoinGroup subscribes s (owned by p) to a multicast group on the given
-// port. The socket must not be bound to a unicast port.
-func (h *Host) JoinGroup(p *kernel.Proc, s *socket.Socket, group pkt.Addr, port uint16) error {
+// JoinGroup subscribes s to a multicast group on the given port. The
+// socket must not be bound to a unicast port. Like the other socket setup
+// calls it takes effect at once and charges no CPU.
+func (h *Host) JoinGroup(s *socket.Socket, group pkt.Addr, port uint16) error {
 	if !group.IsMulticast() {
 		return ErrNotBound
 	}
 	if s.Bound {
 		return ErrPortInUse
-	}
-	if p != nil {
-		p.ComputeSys(h.CM.SyscallFixed)
 	}
 	if h.mcast == nil {
 		h.mcast = make(map[mcastKey]*mcastGroup)
@@ -70,14 +68,11 @@ func (h *Host) JoinGroup(p *kernel.Proc, s *socket.Socket, group pkt.Addr, port 
 }
 
 // LeaveGroup unsubscribes s; the last member tears the group down
-// (releasing the shared channel).
-func (h *Host) LeaveGroup(p *kernel.Proc, s *socket.Socket) {
+// (releasing the shared channel). It charges no CPU.
+func (h *Host) LeaveGroup(s *socket.Socket) {
 	g := h.mcastMember[s]
 	if g == nil {
 		return
-	}
-	if p != nil {
-		p.ComputeSys(h.CM.SyscallFixed)
 	}
 	delete(h.mcastMember, s)
 	for i, m := range g.members {
@@ -105,14 +100,12 @@ func (h *Host) groupOf(s *socket.Socket) *mcastGroup {
 	return h.mcastBySock[s]
 }
 
-// mcastFanout delivers one processed datagram to every member socket (see
-// mcastFanoutStep). p may be nil for softint callers whose cost was
-// pre-charged — the machine then never yields, so Block is never reached.
-func (h *Host) mcastFanout(p *kernel.Proc, g *mcastGroup, d socket.Datagram) {
+// mcastFanout delivers one processed datagram to every member socket from
+// softint context, whose cost was pre-charged: with a nil process the
+// machine (mcastFanoutStep) never yields.
+func (h *Host) mcastFanout(g *mcastGroup, d socket.Datagram) {
 	fr := mcastFanoutOp{members: g.members}
-	for !h.mcastFanoutStep(p, d, &fr) {
-		p.Block()
-	}
+	h.mcastFanoutStep(nil, d, &fr)
 }
 
 // mcastOwnerPrio returns the best (lowest) priority among member owners;

@@ -455,7 +455,7 @@ func (h *Host) udpInput(ih *pkt.IPv4Header, seg []byte, arrival int64, sock *soc
 		if m != nil {
 			m.Detach()
 		}
-		h.mcastFanout(nil, g, d)
+		h.mcastFanout(g, d)
 		return
 	}
 	if m != nil {

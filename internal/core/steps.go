@@ -1,24 +1,20 @@
 package core
 
-// Resumable socket operations for stackless processes.
+// Resumable socket operations for process step bodies.
 //
-// Every blocking socket call in udpsock.go/tcpcalls.go is built on a step
-// machine in this file (or tcpsteps.go): an exported *Op frame holding the
-// operation's program counter and locals, plus a Step method the caller
+// Every socket call that consumes CPU or waits is a step machine in this
+// file (or tcpsteps.go): an exported *Op frame holding the operation's
+// program counter and locals, plus a Step method the caller's StepFn
 // invokes repeatedly. A Step method returns true when the operation has
 // completed (results live in the frame) and false when it has issued a
-// scheduling request via the kernel's Req* setters — a stackless caller
-// then returns to the scheduler, while a goroutine caller loops with
-// p.Block(). Both drivers produce the same request stream, so scheduling,
-// accounting and event order are identical in either mode (the archive
-// byte-identity tests pin this).
+// scheduling request via the kernel's Req* setters; the StepFn then
+// returns to the scheduler and calls Step again at its next dispatch.
 //
-// Fidelity rule: each machine replicates the exact interleaving of reads,
-// mutations and yields of the blocking original it replaced — e.g. the
-// receive deadline is computed before the syscall charge, a raw packet's
-// bytes are read only after the protocol-processing charge, and zero-cost
-// charges fall through inline without yielding, exactly as the blocking
-// Compute variants return without yielding.
+// Ordering rule: each machine fixes the interleaving of reads, mutations
+// and requests the archives pin — e.g. the receive deadline is computed
+// before the syscall charge, a raw packet's bytes are read only after the
+// protocol-processing charge, and zero-cost charges fall through inline
+// without returning to the scheduler.
 
 import (
 	"lrp/internal/ipv4"
@@ -406,8 +402,7 @@ const (
 // fragDrainStep feeds packets from the special fragment channel to the
 // reassembler ("The IP reassembly function checks this channel queue when
 // it misses fragments during reassembly"). Completes with ok and the
-// assembled datagram if one emerges. p may be nil (engine-context callers
-// that pre-charged); a nil p never yields.
+// assembled datagram if one emerges.
 func (h *Host) fragDrainStep(p, owner *kernel.Proc, trigger []byte, fr *fragDrainOp) bool {
 	for {
 		switch fr.pc {
@@ -427,7 +422,7 @@ func (h *Host) fragDrainStep(p, owner *kernel.Proc, trigger []byte, fr *fragDrai
 			}
 			fr.fm = fm
 			fr.pc = fragInput
-			if p != nil && p.ReqComputeSysFor(owner, h.CM.IPInCost) {
+			if p.ReqComputeSysFor(owner, h.CM.IPInCost) {
 				return false
 			}
 		case fragInput:

@@ -25,7 +25,7 @@ func (h *Host) initTCPHooks() {
 			if us, ok := c.UserData.(*socket.Socket); ok {
 				s = us
 			}
-			_ = h.ipOutput(nil, s, b)
+			_ = h.ipOutput(s, b)
 		},
 		ArmTimer:      h.armConnTimer,
 		DisarmTimer:   h.disarmConnTimer,

@@ -12,7 +12,6 @@ import (
 	"lrp/internal/demux"
 	"lrp/internal/ipv4"
 	"lrp/internal/kernel"
-	"lrp/internal/mbuf"
 	"lrp/internal/pkt"
 	"lrp/internal/socket"
 )
@@ -73,35 +72,14 @@ func (h *Host) ConnectUDP(s *socket.Socket, raddr pkt.Addr, rport uint16) error 
 	return nil
 }
 
-// SendTo transmits a datagram, blocking the calling process for the
-// transmit-side processing charges (see SendToStep).
-func (h *Host) SendTo(p *kernel.Proc, s *socket.Socket, dst pkt.Addr, dport uint16, data []byte) error {
-	var fr SendToOp
-	for !h.SendToStep(p, s, dst, dport, data, &fr) {
-		p.Block()
-	}
-	return fr.Err
-}
-
-// Send transmits on a connected datagram socket.
-func (h *Host) Send(p *kernel.Proc, s *socket.Socket, data []byte) error {
-	if !s.Connected {
-		return ErrNotBound
-	}
-	return h.SendTo(p, s, s.Remote, s.RPort, data)
-}
-
-// ipOutput fragments (charging per extra fragment) and queues packets on
-// the interface.
-func (h *Host) ipOutput(p *kernel.Proc, s *socket.Socket, b []byte) error {
+// ipOutput fragments and queues packets on the interface from engine
+// context (the caller's costs were pre-charged or are not modelled).
+func (h *Host) ipOutput(s *socket.Socket, b []byte) error {
 	frags := [][]byte{b} //lrp:nolint hotalloc -- single-element scratch slice that does not escape: sendFrags only ranges over it
 	if len(b) > h.MTU {
 		frags = ipv4.Fragment(b, h.MTU)
 		if frags == nil {
 			return ErrNoBufs
-		}
-		if p != nil && len(frags) > 1 {
-			p.ComputeSys(int64(len(frags)-1) * h.CM.IPOutCost)
 		}
 	}
 	return h.sendFrags(s, frags)
@@ -128,78 +106,13 @@ func (h *Host) sendFrags(s *socket.Socket, frags [][]byte) error {
 	return nil
 }
 
-// RecvFrom blocks until a datagram is available and returns it (see
-// RecvFromStep for the lazy-processing receive path).
-func (h *Host) RecvFrom(p *kernel.Proc, s *socket.Socket) (socket.Datagram, error) {
-	var fr RecvFromOp
-	for !h.RecvFromStep(p, s, &fr) {
-		p.Block()
-	}
-	return fr.D, fr.Err
-}
-
-// RecvFromTimeout is RecvFrom with a deadline: it returns ok=false if no
-// datagram arrives within timeout µs.
-func (h *Host) RecvFromTimeout(p *kernel.Proc, s *socket.Socket, timeout int64) (socket.Datagram, bool, error) {
-	fr := RecvFromOp{Timed: true, Timeout: timeout}
-	for !h.RecvFromStep(p, s, &fr) {
-		p.Block()
-	}
-	return fr.D, fr.OK, fr.Err
-}
-
-// TryRecvFrom is the non-blocking variant; ok reports whether a datagram
-// was available.
-func (h *Host) TryRecvFrom(p *kernel.Proc, s *socket.Socket) (socket.Datagram, bool) {
-	p.ComputeSys(h.CM.SyscallFixed)
-	if d, ok := s.RecvDgrams.Dequeue(); ok {
-		p.ComputeSys(h.CM.SockQueueCost + h.CM.CopyCost(len(d.Data)))
-		return d, true
-	}
-	if s.NIChan != nil {
-		if m := s.NIChan.Queue.Dequeue(); m != nil {
-			if d, ok := h.udpLazyInput(p, p, s, m); ok {
-				p.ComputeSys(h.CM.CopyCost(len(d.Data)))
-				return d, true
-			}
-		}
-	}
-	return socket.Datagram{}, false
-}
-
-// udpLazyInput performs IP+UDP receive processing for one raw packet in
-// process context. CPU is consumed by p but charged to owner (identical to
-// p for a process in a receive call; the socket owner when the idle thread
-// processes on its behalf). It consults the fragment channel when
-// reassembly is missing pieces.
-func (h *Host) udpLazyInput(p, owner *kernel.Proc, s *socket.Socket, m *mbuf.Mbuf) (socket.Datagram, bool) {
-	var fr lazyInputOp
-	for !h.udpLazyInputStep(p, owner, s, m, &fr) {
-		p.Block()
-	}
-	return fr.d, fr.ok
-}
-
-// drainFragChannelFor feeds packets from the special fragment channel to
-// the reassembler. Returns a completed datagram if one emerges. p may be
-// nil (engine-context callers that pre-charged) — with a nil p the machine
-// never yields, so Block is never reached.
-func (h *Host) drainFragChannelFor(p, owner *kernel.Proc, trigger []byte) ([]byte, bool) {
-	var fr fragDrainOp
-	for !h.fragDrainStep(p, owner, trigger, &fr) {
-		p.Block()
-	}
-	return fr.whole, fr.ok
-}
-
 // CloseUDP closes a datagram socket, releasing its port, channel and any
-// queued data.
-func (h *Host) CloseUDP(p *kernel.Proc, s *socket.Socket) {
+// queued data, and wakes blocked receivers. It takes effect at once and
+// charges no CPU; a closing process that models the syscall requests
+// SyscallFixed itself.
+func (h *Host) CloseUDP(s *socket.Socket) {
 	if s.Closed {
 		return
-	}
-	if p != nil {
-		p.ComputeSys(h.CM.SyscallFixed)
 	}
 	s.Closed = true
 	if s.Bound {

@@ -217,11 +217,7 @@ func udpFaultPoint(sys System, sev float64, install func(*rig, float64, uint64),
 		install(r, sev, seed)
 	}
 
-	victim := server.K.Spawn("victim", 0, func(p *kernel.Proc) {
-		for {
-			p.Compute(sim.Millisecond)
-		}
-	})
+	victim := server.K.SpawnStep("victim", 0, kernel.Hog(sim.Millisecond))
 	sink := &app.BlastSink{
 		Host:           server,
 		Port:           7,

@@ -58,10 +58,31 @@ func Fig5(opt Options) []Fig5Series {
 }
 
 func fig5Run(sys System, synRate int64, opt Options) float64 {
-	r := newRig3TimeWait(sys, opt)
+	r, clients := fig5World(sys, synRate, opt)
 	defer r.shutdown()
-	server, clientA, clientC := r.hosts[1], r.hosts[0], r.hosts[2]
-	_ = clientC
+	warm, measure := 3*sim.Second, 6*sim.Second
+	if opt.Quick {
+		warm, measure = sim.Second, 2*sim.Second
+	}
+	r.eng.RunFor(warm)
+	var base uint64
+	for _, c := range clients {
+		base += c.Completed.Total()
+	}
+	r.eng.RunFor(measure)
+	var total uint64
+	for _, c := range clients {
+		total += c.Completed.Total()
+	}
+	return float64(total-base) / (float64(measure) / 1e6)
+}
+
+// fig5World builds one Fig. 5 world, started but not yet run: the HTTP
+// server and a never-accepting dummy server on host B, eight HTTP clients
+// on host A, and (for a nonzero rate) the SYN flood from host C.
+func fig5World(sys System, synRate int64, opt Options) (*rig, []*app.HTTPClient) {
+	r := newRig3TimeWait(sys, opt)
+	server, clientA := r.hosts[1], r.hosts[0]
 
 	// The HTTP server with per-connection handler processes.
 	httpd := &app.HTTPServer{
@@ -99,22 +120,7 @@ func fig5Run(sys System, synRate int64, opt Options) float64 {
 		}
 		flood.Start()
 	}
-
-	warm, measure := 3*sim.Second, 6*sim.Second
-	if opt.Quick {
-		warm, measure = sim.Second, 2*sim.Second
-	}
-	r.eng.RunFor(warm)
-	var base uint64
-	for _, c := range clients {
-		base += c.Completed.Total()
-	}
-	r.eng.RunFor(measure)
-	var total uint64
-	for _, c := range clients {
-		total += c.Completed.Total()
-	}
-	return float64(total-base) / (float64(measure) / 1e6)
+	return r, clients
 }
 
 // newRig3TimeWait builds the Fig. 5 network: three hosts with the paper's

@@ -8,18 +8,20 @@ import (
 )
 
 // TestSwitchPathZeroAllocs pins the switch path at zero allocations per
-// operation in both execution modes: the Consume keep-CPU fast path, the
-// proc-to-proc context switch (stackless and goroutine), the
-// sleep/timeout/wakeup cycle, and the interrupt-preempted burst.
-// Requests travel as typed fields on the Proc (no interface boxing),
-// all the closures involved are cached at Spawn/New time, and WorkItems
-// ride a free list, so once wait queues and free lists are warm nothing
-// on these paths may allocate.
+// operation: the Consume keep-CPU fast path, the proc-to-proc context
+// switch, the sleep/timeout/wakeup cycle, the delay cycle, and the
+// interrupt-preempted burst. Requests travel as typed fields on the Proc
+// (no interface boxing), all the closures involved are cached at
+// SpawnStep/New time, and WorkItems ride a free list, so once wait queues
+// and free lists are warm nothing on these paths may allocate.
 func TestSwitchPathZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 
+	// The -stackless cases drive hand-written StepFns; "consume" and
+	// "context-switch" below run the same bodies as stage lists (loop), so
+	// the test helpers' closures are held to zero allocations too.
 	t.Run("consume-stackless", func(t *testing.T) {
 		eng := sim.NewEngine()
 		k := New(eng, "alloc")
@@ -105,11 +107,7 @@ func TestSwitchPathZeroAllocs(t *testing.T) {
 	t.Run("consume", func(t *testing.T) {
 		eng := sim.NewEngine()
 		k := New(eng, "alloc")
-		k.Spawn("worker", 0, func(p *Proc) {
-			for {
-				p.Compute(10)
-			}
-		})
+		k.SpawnStep("worker", 0, loop(compute(10)))
 		eng.RunFor(sim.Millisecond) // warm: free lists, heap backing array
 		if n := testing.AllocsPerRun(100, func() {
 			eng.RunFor(10) // exactly one Compute round trip
@@ -123,20 +121,8 @@ func TestSwitchPathZeroAllocs(t *testing.T) {
 		eng := sim.NewEngine()
 		k := New(eng, "alloc")
 		var aq, bq WaitQ
-		k.Spawn("a", 0, func(p *Proc) {
-			for {
-				p.Compute(5)
-				bq.WakeupAll()
-				p.Sleep(&aq)
-			}
-		})
-		k.Spawn("b", 0, func(p *Proc) {
-			for {
-				p.Compute(5)
-				aq.WakeupAll()
-				p.Sleep(&bq)
-			}
-		})
+		k.SpawnStep("a", 0, loop(compute(5), do(func(*Proc) { bq.WakeupAll() }), sleep(&aq)))
+		k.SpawnStep("b", 0, loop(compute(5), do(func(*Proc) { aq.WakeupAll() }), sleep(&bq)))
 		eng.RunFor(sim.Millisecond) // warm: wait-queue slices at high-water
 		if n := testing.AllocsPerRun(100, func() {
 			eng.RunFor(5) // one burst + handoff to the other proc
@@ -150,10 +136,8 @@ func TestSwitchPathZeroAllocs(t *testing.T) {
 		eng := sim.NewEngine()
 		k := New(eng, "alloc")
 		var wq WaitQ
-		k.Spawn("sleeper", 0, func(p *Proc) {
-			for {
-				p.SleepTimeout(&wq, 10)
-			}
+		k.SpawnStep("sleeper", 0, func(p *Proc) {
+			p.ReqSleepTimeout(&wq, 10)
 		})
 		eng.RunFor(sim.Millisecond)
 		if n := testing.AllocsPerRun(100, func() {

@@ -23,17 +23,11 @@ func TestAccountingBalanceProperty(t *testing.T) {
 		procs := int(nProcs%5) + 1
 		for i := 0; i < procs; i++ {
 			nice := int(rng.Int63n(3)) * 10
-			k.Spawn("p", nice, func(p *Proc) {
-				for {
-					p.Compute(rng.Int63n(5000) + 1)
-					if rng.Float64() < 0.3 {
-						p.Delay(rng.Int63n(3000) + 1)
-					}
-					if rng.Float64() < 0.2 {
-						p.ComputeSys(rng.Int63n(1000) + 1)
-					}
-				}
-			})
+			k.SpawnStep("p", nice, loop(
+				func(p *Proc) bool { return p.ReqCompute(rng.Int63n(5000) + 1) },
+				func(p *Proc) bool { return rng.Float64() < 0.3 && p.ReqDelay(rng.Int63n(3000)+1) },
+				func(p *Proc) bool { return rng.Float64() < 0.2 && p.ReqComputeSys(rng.Int63n(1000)+1) },
+			))
 		}
 		intrs := int(nIntrs%30) + 1
 		for i := 0; i < intrs; i++ {
@@ -80,11 +74,7 @@ func TestFairShareLongRun(t *testing.T) {
 	const n = 4
 	procs := make([]*Proc, n)
 	for i := 0; i < n; i++ {
-		procs[i] = k.Spawn("worker", 0, func(p *Proc) {
-			for {
-				p.Compute(777)
-			}
-		})
+		procs[i] = k.SpawnStep("worker", 0, Hog(777))
 	}
 	eng.RunFor(20 * sim.Second)
 	for i, p := range procs {
@@ -103,12 +93,10 @@ func TestDeterminism(t *testing.T) {
 		defer k.Shutdown()
 		rng := sim.NewRand(42)
 		for i := 0; i < 3; i++ {
-			k.Spawn("p", i*5, func(p *Proc) {
-				for {
-					p.Compute(rng.Int63n(900) + 1)
-					p.Delay(rng.Int63n(300) + 1)
-				}
-			})
+			k.SpawnStep("p", i*5, loop(
+				func(p *Proc) bool { return p.ReqCompute(rng.Int63n(900) + 1) },
+				func(p *Proc) bool { return p.ReqDelay(rng.Int63n(300) + 1) },
+			))
 		}
 		var pump func()
 		pump = func() {
@@ -140,19 +128,15 @@ func TestPrioProxyScheduling(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, "proxy")
 	defer k.Shutdown()
-	k.Spawn("hog", 0, func(p *Proc) {
-		for {
-			p.Compute(sim.Second)
-		}
-	})
-	owner := k.Spawn("owner", 0, func(p *Proc) { p.Sleep(&WaitQ{}) })
+	k.SpawnStep("hog", 0, Hog(sim.Second))
+	owner := k.SpawnStep("owner", 0, seq(sleep(&WaitQ{})))
 	var appDone sim.Time
 	wq := &WaitQ{}
-	appThread := k.Spawn("app-thread", 0, func(p *Proc) {
-		p.Sleep(wq)
-		p.ComputeSysFor(owner, 10*1000)
-		appDone = p.Now()
-	})
+	appThread := k.SpawnStep("app-thread", 0, seq(
+		sleep(wq),
+		func(p *Proc) bool { return p.ReqComputeSysFor(owner, 10*1000) },
+		do(func(p *Proc) { appDone = p.Now() }),
+	))
 	appThread.PrioProxy = owner
 	// Let the hog accumulate usage, then wake the proxy thread.
 	eng.At(2*sim.Second, func() { wq.WakeupAll() })
@@ -178,16 +162,8 @@ func TestTwoKernelsShareEngine(t *testing.T) {
 	k2 := New(eng, "host2")
 	defer k1.Shutdown()
 	defer k2.Shutdown()
-	p1 := k1.Spawn("a", 0, func(p *Proc) {
-		for {
-			p.Compute(1000)
-		}
-	})
-	p2 := k2.Spawn("b", 0, func(p *Proc) {
-		for {
-			p.Compute(1000)
-		}
-	})
+	p1 := k1.SpawnStep("a", 0, Hog(1000))
+	p2 := k2.SpawnStep("b", 0, Hog(1000))
 	eng.RunFor(sim.Second)
 	// Each host has its own CPU: both processes run at full speed.
 	if p1.UTime < 990*1000 || p2.UTime < 990*1000 {
@@ -207,7 +183,7 @@ func TestIntrPenaltyAppliesOncePerDisturbance(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, "pen")
 	defer k.Shutdown()
-	p := k.Spawn("sensitive", 0, func(p *Proc) { p.Compute(100 * 1000) })
+	p := k.SpawnStep("sensitive", 0, seq(compute(100*1000)))
 	p.IntrPenalty = 50
 	// Three back-to-back interrupts at one instant: one disturbance.
 	eng.At(10*1000, func() {
@@ -231,22 +207,19 @@ func TestSleepBoostFavorsInteractive(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, "boost")
 	defer k.Shutdown()
-	k.Spawn("hog", 0, func(p *Proc) {
-		for {
-			p.Compute(sim.Second)
-		}
-	})
+	k.SpawnStep("hog", 0, Hog(sim.Second))
 	var worst int64
-	inter := k.Spawn("interactive", 0, func(p *Proc) {
-		for {
-			p.Delay(50 * sim.Millisecond)
-			start := p.Now()
-			p.Compute(1000)
+	var start sim.Time
+	inter := k.SpawnStep("interactive", 0, loop(
+		delay(50*sim.Millisecond),
+		do(func(p *Proc) { start = p.Now() }),
+		compute(1000),
+		do(func(p *Proc) {
 			if d := p.Now() - start - 1000; d > worst {
 				worst = d
 			}
-		}
-	})
+		}),
+	))
 	eng.RunFor(10 * sim.Second)
 	if inter.UTime == 0 {
 		t.Fatal("interactive process starved")
@@ -265,16 +238,8 @@ func TestChargedTimeAffectsScheduling(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, "bias")
 	defer k.Shutdown()
-	victim := k.Spawn("victim", 0, func(p *Proc) {
-		for {
-			p.Compute(500)
-		}
-	})
-	peer := k.Spawn("peer", 0, func(p *Proc) {
-		for {
-			p.Compute(500)
-		}
-	})
+	victim := k.SpawnStep("victim", 0, Hog(500))
+	peer := k.SpawnStep("peer", 0, Hog(500))
 	// A steady interrupt load explicitly billed to the victim.
 	var pump func()
 	pump = func() {

@@ -6,8 +6,8 @@ import (
 	"lrp/internal/sim"
 )
 
-// newTestKernel builds an engine+kernel pair and returns a cleanup that
-// terminates process goroutines.
+// newTestKernel builds an engine+kernel pair whose kernel is shut down
+// when the test ends.
 func newTestKernel(t *testing.T) (*sim.Engine, *Kernel) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -19,10 +19,7 @@ func newTestKernel(t *testing.T) (*sim.Engine, *Kernel) {
 func TestComputeConsumesSimTime(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var doneAt sim.Time
-	k.Spawn("a", 0, func(p *Proc) {
-		p.Compute(5000)
-		doneAt = p.Now()
-	})
+	k.SpawnStep("a", 0, seq(compute(5000), do(func(p *Proc) { doneAt = p.Now() })))
 	eng.RunFor(sim.Second)
 	if doneAt != 5000 {
 		t.Fatalf("compute finished at %d, want 5000", doneAt)
@@ -31,10 +28,7 @@ func TestComputeConsumesSimTime(t *testing.T) {
 
 func TestAccountingUserVsSys(t *testing.T) {
 	eng, k := newTestKernel(t)
-	p := k.Spawn("a", 0, func(p *Proc) {
-		p.Compute(3000)
-		p.ComputeSys(2000)
-	})
+	p := k.SpawnStep("a", 0, seq(compute(3000), computeSys(2000)))
 	eng.RunFor(sim.Second)
 	if p.UTime != 3000 || p.STime != 2000 {
 		t.Fatalf("utime=%d stime=%d", p.UTime, p.STime)
@@ -47,10 +41,7 @@ func TestAccountingUserVsSys(t *testing.T) {
 func TestHWPreemptsProc(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var doneAt sim.Time
-	k.Spawn("a", 0, func(p *Proc) {
-		p.Compute(1000)
-		doneAt = p.Now()
-	})
+	k.SpawnStep("a", 0, seq(compute(1000), do(func(p *Proc) { doneAt = p.Now() })))
 	// At t=500, 300µs of hardware interrupt work arrives; the process's
 	// compute must stretch to 1300.
 	eng.At(500, func() {
@@ -97,9 +88,7 @@ func TestSWDoesNotPreemptHW(t *testing.T) {
 
 func TestInterruptChargedToCurrentProc(t *testing.T) {
 	eng, k := newTestKernel(t)
-	victim := k.Spawn("victim", 0, func(p *Proc) {
-		p.Compute(100 * 1000)
-	})
+	victim := k.SpawnStep("victim", 0, seq(compute(100*1000)))
 	eng.At(5000, func() {
 		k.PostHW(WorkItem{Cost: 1000})
 	})
@@ -115,8 +104,8 @@ func TestInterruptChargedToCurrentProc(t *testing.T) {
 
 func TestInterruptChargedToExplicitTarget(t *testing.T) {
 	eng, k := newTestKernel(t)
-	victim := k.Spawn("victim", 0, func(p *Proc) { p.Compute(100 * 1000) })
-	other := k.Spawn("other", 0, func(p *Proc) { p.Sleep(&WaitQ{}) })
+	victim := k.SpawnStep("victim", 0, seq(compute(100*1000)))
+	other := k.SpawnStep("other", 0, seq(sleep(&WaitQ{})))
 	eng.At(5000, func() {
 		k.PostHW(WorkItem{Cost: 1000, ChargeTo: other})
 	})
@@ -146,10 +135,7 @@ func TestSleepWakeup(t *testing.T) {
 	eng, k := newTestKernel(t)
 	wq := &WaitQ{}
 	var wokeAt sim.Time
-	k.Spawn("sleeper", 0, func(p *Proc) {
-		p.Sleep(wq)
-		wokeAt = p.Now()
-	})
+	k.SpawnStep("sleeper", 0, seq(sleep(wq), do(func(p *Proc) { wokeAt = p.Now() })))
 	eng.At(7000, func() { wq.WakeupAll() })
 	eng.RunFor(sim.Second)
 	if wokeAt != 7000 {
@@ -162,10 +148,10 @@ func TestSleepTimeout(t *testing.T) {
 	wq := &WaitQ{}
 	var timedOut bool
 	var at sim.Time
-	k.Spawn("sleeper", 0, func(p *Proc) {
-		timedOut = p.SleepTimeout(wq, 3000)
+	k.SpawnStep("sleeper", 0, seq(sleepTimeout(wq, 3000), do(func(p *Proc) {
+		timedOut = p.TimedOut()
 		at = p.Now()
-	})
+	})))
 	eng.RunFor(sim.Second)
 	if !timedOut || at != 3000 {
 		t.Fatalf("timedOut=%v at=%d", timedOut, at)
@@ -179,9 +165,7 @@ func TestSleepTimeoutWokenEarly(t *testing.T) {
 	eng, k := newTestKernel(t)
 	wq := &WaitQ{}
 	var timedOut bool
-	k.Spawn("sleeper", 0, func(p *Proc) {
-		timedOut = p.SleepTimeout(wq, 50000)
-	})
+	k.SpawnStep("sleeper", 0, seq(sleepTimeout(wq, 50000), do(func(p *Proc) { timedOut = p.TimedOut() })))
 	eng.At(1000, func() { wq.WakeupAll() })
 	eng.RunFor(sim.Second)
 	if timedOut {
@@ -192,10 +176,7 @@ func TestSleepTimeoutWokenEarly(t *testing.T) {
 func TestDelay(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var at sim.Time
-	p := k.Spawn("d", 0, func(p *Proc) {
-		p.Delay(12345)
-		at = p.Now()
-	})
+	p := k.SpawnStep("d", 0, seq(delay(12345), do(func(p *Proc) { at = p.Now() })))
 	eng.RunFor(sim.Second)
 	if at != 12345 {
 		t.Fatalf("delay ended at %d", at)
@@ -211,16 +192,9 @@ func TestPriorityPreemption(t *testing.T) {
 	// hog has accumulated usage, the fresh sleeper has better priority and
 	// must preempt promptly (at the next dispatch opportunity).
 	var hogDone, lightDone sim.Time
-	k.Spawn("hog", 0, func(p *Proc) {
-		p.Compute(3 * sim.Second)
-		hogDone = p.Now()
-	})
+	k.SpawnStep("hog", 0, seq(compute(3*sim.Second), do(func(p *Proc) { hogDone = p.Now() })))
 	wq := &WaitQ{}
-	k.Spawn("light", 0, func(p *Proc) {
-		p.Sleep(wq)
-		p.Compute(100 * 1000)
-		lightDone = p.Now()
-	})
+	k.SpawnStep("light", 0, seq(sleep(wq), compute(100*1000), do(func(p *Proc) { lightDone = p.Now() })))
 	eng.At(2*sim.Second, func() { wq.WakeupAll() })
 	eng.RunFor(10 * sim.Second)
 	if lightDone == 0 || hogDone == 0 {
@@ -238,16 +212,12 @@ func TestNicePenalty(t *testing.T) {
 	eng, k := newTestKernel(t)
 	// A nice +20 spinner must not materially delay a normal process.
 	var normalDone sim.Time
-	k.Spawn("spinner", 20, func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.Compute(100 * 1000)
-		}
-	})
-	k.Spawn("normal", 0, func(p *Proc) {
-		p.Delay(500 * 1000) // arrive after spinner has the CPU
-		p.Compute(1 * sim.Second)
-		normalDone = p.Now()
-	})
+	k.SpawnStep("spinner", 20, seq(repeat(1000, compute(100*1000))...))
+	k.SpawnStep("normal", 0, seq(
+		delay(500*1000), // arrive after spinner has the CPU
+		compute(1*sim.Second),
+		do(func(p *Proc) { normalDone = p.Now() }),
+	))
 	eng.RunFor(20 * sim.Second)
 	if normalDone == 0 {
 		t.Fatal("normal process starved")
@@ -262,14 +232,8 @@ func TestNicePenalty(t *testing.T) {
 func TestRoundRobinSharesEqualPriority(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var aDone, bDone sim.Time
-	k.Spawn("a", 0, func(p *Proc) {
-		p.Compute(1 * sim.Second)
-		aDone = p.Now()
-	})
-	k.Spawn("b", 0, func(p *Proc) {
-		p.Compute(1 * sim.Second)
-		bDone = p.Now()
-	})
+	k.SpawnStep("a", 0, seq(compute(1*sim.Second), do(func(p *Proc) { aDone = p.Now() })))
+	k.SpawnStep("b", 0, seq(compute(1*sim.Second), do(func(p *Proc) { bDone = p.Now() })))
 	eng.RunFor(10 * sim.Second)
 	if aDone == 0 || bDone == 0 {
 		t.Fatal("did not finish")
@@ -287,8 +251,8 @@ func TestContextSwitchCost(t *testing.T) {
 	defer k.Shutdown()
 	k.CtxSwitchCost = 100
 	var aDone, bDone sim.Time
-	k.Spawn("a", 0, func(p *Proc) { p.Compute(20 * 1000); aDone = p.Now() })
-	k.Spawn("b", 0, func(p *Proc) { p.Compute(20 * 1000); bDone = p.Now() })
+	k.SpawnStep("a", 0, seq(compute(20*1000), do(func(p *Proc) { aDone = p.Now() })))
+	k.SpawnStep("b", 0, seq(compute(20*1000), do(func(p *Proc) { bDone = p.Now() })))
 	eng.RunFor(sim.Second)
 	// Both bursts are short enough that neither accumulates a priority
 	// point, so the schedule is a, then b; only b pays a switch cost (a's
@@ -307,10 +271,7 @@ func TestContextSwitchCost(t *testing.T) {
 func TestCachePenalty(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var done sim.Time
-	p := k.Spawn("memory-bound", 0, func(p *Proc) {
-		p.Compute(10 * 1000)
-		done = p.Now()
-	})
+	p := k.SpawnStep("memory-bound", 0, seq(compute(10*1000), do(func(p *Proc) { done = p.Now() })))
 	p.CachePenalty = 500
 	eng.At(2000, func() { k.PostHW(WorkItem{Cost: 100}) })
 	eng.RunFor(sim.Second)
@@ -327,15 +288,9 @@ func TestCachePenalty(t *testing.T) {
 func TestCachePenaltyOnProcessSwitch(t *testing.T) {
 	eng, k := newTestKernel(t)
 	wq := &WaitQ{}
-	var worker *Proc
-	worker = k.Spawn("worker", 0, func(p *Proc) {
-		p.Compute(400 * 1000)
-	})
+	worker := k.SpawnStep("worker", 0, seq(compute(400*1000)))
 	worker.CachePenalty = 1000
-	k.Spawn("intruder", 0, func(p *Proc) {
-		p.Sleep(wq)
-		p.Compute(1000)
-	})
+	k.SpawnStep("intruder", 0, seq(sleep(wq), compute(1000)))
 	eng.At(50*1000, func() { wq.WakeupAll() })
 	eng.RunFor(5 * sim.Second)
 	if worker.CacheRefills == 0 {
@@ -345,8 +300,8 @@ func TestCachePenaltyOnProcessSwitch(t *testing.T) {
 
 func TestPrioProxy(t *testing.T) {
 	eng, k := newTestKernel(t)
-	owner := k.Spawn("owner", 0, func(p *Proc) { p.Sleep(&WaitQ{}) })
-	app := k.Spawn("app-thread", 0, func(p *Proc) { p.Sleep(&WaitQ{}) })
+	owner := k.SpawnStep("owner", 0, seq(sleep(&WaitQ{})))
+	app := k.SpawnStep("app-thread", 0, seq(sleep(&WaitQ{})))
 	app.PrioProxy = owner
 	eng.RunFor(10 * sim.Millisecond)
 	if app.Prio() != owner.Prio() {
@@ -356,10 +311,8 @@ func TestPrioProxy(t *testing.T) {
 
 func TestComputeSysForChargesOwner(t *testing.T) {
 	eng, k := newTestKernel(t)
-	owner := k.Spawn("owner", 0, func(p *Proc) { p.Sleep(&WaitQ{}) })
-	k.Spawn("app-thread", 0, func(p *Proc) {
-		p.ComputeSysFor(owner, 4000)
-	})
+	owner := k.SpawnStep("owner", 0, seq(sleep(&WaitQ{})))
+	k.SpawnStep("app-thread", 0, seq(func(p *Proc) bool { return p.ReqComputeSysFor(owner, 4000) }))
 	eng.RunFor(100 * sim.Millisecond)
 	if owner.STime != 4000 {
 		t.Fatalf("owner stime = %d, want 4000", owner.STime)
@@ -371,10 +324,7 @@ func TestComputeSysForChargesOwner(t *testing.T) {
 
 func TestDecayReducesUsage(t *testing.T) {
 	eng, k := newTestKernel(t)
-	p := k.Spawn("a", 0, func(p *Proc) {
-		p.Compute(500 * 1000)
-		p.Sleep(&WaitQ{})
-	})
+	p := k.SpawnStep("a", 0, seq(compute(500*1000), sleep(&WaitQ{})))
 	eng.RunFor(900 * sim.Millisecond)
 	before := p.EstCPU()
 	eng.RunFor(3 * sim.Second)
@@ -389,10 +339,11 @@ func TestDecayReducesUsage(t *testing.T) {
 
 func TestExit(t *testing.T) {
 	eng, k := newTestKernel(t)
-	p := k.Spawn("e", 0, func(p *Proc) {
-		p.Compute(1000)
-		p.Exit()
-	})
+	p := k.SpawnStep("e", 0, seq(
+		compute(1000),
+		func(p *Proc) bool { return p.ReqExit() },
+		do(func(p *Proc) { t.Error("process ran after its exit request") }),
+	))
 	eng.RunFor(sim.Second)
 	if !p.Dead() {
 		t.Fatal("process not dead after Exit")
@@ -404,7 +355,7 @@ func TestExit(t *testing.T) {
 
 func TestNormalReturnExits(t *testing.T) {
 	eng, k := newTestKernel(t)
-	p := k.Spawn("r", 0, func(p *Proc) {})
+	p := k.SpawnStep("r", 0, seq())
 	eng.RunFor(sim.Millisecond)
 	if !p.Dead() {
 		t.Fatal("process not dead after return")
@@ -414,14 +365,13 @@ func TestNormalReturnExits(t *testing.T) {
 func TestSpawnFromProcess(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var childDone sim.Time
-	k.Spawn("parent", 0, func(p *Proc) {
-		p.Compute(1000)
-		k.Spawn("child", 0, func(c *Proc) {
-			c.Compute(2000)
-			childDone = c.Now()
-		})
-		p.Compute(1000)
-	})
+	k.SpawnStep("parent", 0, seq(
+		compute(1000),
+		do(func(p *Proc) {
+			k.SpawnStep("child", 0, seq(compute(2000), do(func(c *Proc) { childDone = c.Now() })))
+		}),
+		compute(1000),
+	))
 	eng.RunFor(sim.Second)
 	if childDone == 0 {
 		t.Fatal("child never ran")
@@ -432,14 +382,8 @@ func TestWakeupFromProcess(t *testing.T) {
 	eng, k := newTestKernel(t)
 	wq := &WaitQ{}
 	var got sim.Time
-	k.Spawn("sleeper", 0, func(p *Proc) {
-		p.Sleep(wq)
-		got = p.Now()
-	})
-	k.Spawn("waker", 0, func(p *Proc) {
-		p.Compute(5000)
-		wq.WakeupAll()
-	})
+	k.SpawnStep("sleeper", 0, seq(sleep(wq), do(func(p *Proc) { got = p.Now() })))
+	k.SpawnStep("waker", 0, seq(compute(5000), do(func(p *Proc) { wq.WakeupAll() })))
 	eng.RunFor(sim.Second)
 	if got != 5000 {
 		t.Fatalf("woke at %d, want 5000", got)
@@ -451,10 +395,7 @@ func TestWakeupBestPicksHighestPriority(t *testing.T) {
 	wq := &WaitQ{}
 	var woken []string
 	mk := func(name string, nice int) {
-		k.Spawn(name, nice, func(p *Proc) {
-			p.Sleep(wq)
-			woken = append(woken, name)
-		})
+		k.SpawnStep(name, nice, seq(sleep(wq), do(func(p *Proc) { woken = append(woken, name) })))
 	}
 	mk("low", 10)
 	mk("high", 0)
@@ -467,7 +408,7 @@ func TestWakeupBestPicksHighestPriority(t *testing.T) {
 
 func TestStatsBalance(t *testing.T) {
 	eng, k := newTestKernel(t)
-	k.Spawn("a", 0, func(p *Proc) { p.Compute(30 * 1000) })
+	k.SpawnStep("a", 0, seq(compute(30*1000)))
 	eng.At(1000, func() { k.PostHW(WorkItem{Cost: 2000}) })
 	eng.At(2000, func() { k.PostSW(WorkItem{Cost: 3000}) })
 	eng.RunFor(100 * sim.Millisecond)
@@ -481,15 +422,24 @@ func TestStatsBalance(t *testing.T) {
 	}
 }
 
+// TestShutdownTerminatesGoroutines pins that Shutdown retires every
+// process — sleeping, mid-burst, or never dispatched — and leaves no
+// event behind that would step one again. (Processes have no goroutines
+// of their own; the name predates that.)
 func TestShutdownTerminatesGoroutines(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, "test")
 	wq := &WaitQ{}
-	k.Spawn("sleeper", 0, func(p *Proc) { p.Sleep(wq) })
-	k.Spawn("computer", 0, func(p *Proc) { p.Compute(sim.Second) })
-	k.Spawn("never-ran", 0, func(p *Proc) { p.Compute(1) })
+	ran := false
+	k.SpawnStep("sleeper", 0, seq(sleep(wq), do(func(p *Proc) { ran = true })))
+	k.SpawnStep("computer", 0, seq(compute(sim.Second), do(func(p *Proc) { ran = true })))
+	k.SpawnStep("never-ran", 0, seq(compute(1)))
 	eng.RunFor(10 * sim.Millisecond)
-	k.Shutdown() // must not hang
+	k.Shutdown()
+	eng.RunFor(2 * sim.Second)
+	if ran {
+		t.Fatal("a process was stepped after Shutdown")
+	}
 	for _, p := range k.Procs() {
 		if !p.Dead() {
 			t.Fatalf("proc %s alive after shutdown", p.Name)
@@ -502,8 +452,8 @@ func TestMisAccountingRaisesVictimUsage(t *testing.T) {
 	// merely suffers interrupts accumulates scheduler usage and loses
 	// priority relative to an identical undisturbed process.
 	eng, k := newTestKernel(t)
-	victim := k.Spawn("victim", 0, func(p *Proc) { p.Compute(2 * sim.Second) })
-	peer := k.Spawn("peer", 0, func(p *Proc) { p.Compute(2 * sim.Second) })
+	victim := k.SpawnStep("victim", 0, seq(compute(2*sim.Second)))
+	peer := k.SpawnStep("peer", 0, seq(compute(2*sim.Second)))
 	// Steady interrupt load, always charged to curproc.
 	var pump func()
 	pump = func() {

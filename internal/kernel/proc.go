@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"errors"
-
-	"lrp/internal/sim"
-)
+import "lrp/internal/sim"
 
 type procState int
 
@@ -29,16 +25,10 @@ func (s procState) String() string {
 	return "?"
 }
 
-var (
-	errKilled = errors.New("kernel: process killed at shutdown")
-	errExited = errors.New("kernel: process exited")
-)
-
-// reqKind identifies the request a process goroutine hands to the
-// scheduler at each yield. Requests are carried in typed Proc fields
-// (reqD, reqSys, ...) rather than an interface value so issuing one
-// never allocates — the switch path is exercised millions of times per
-// experiment.
+// reqKind identifies the request a process step hands to the scheduler
+// as it returns. Requests are carried in typed Proc fields (reqD, reqSys,
+// ...) rather than an interface value so issuing one never allocates —
+// the switch path is exercised millions of times per experiment.
 type reqKind uint8
 
 const (
@@ -48,10 +38,10 @@ const (
 	reqExit
 )
 
-// Proc is a simulated process (or kernel thread). Application logic runs on
-// the process goroutine and interacts with simulated time only through
-// these methods. Fields are documented as read-only for application code
-// unless stated otherwise.
+// Proc is a simulated process (or kernel thread). Application logic is the
+// process's StepFn, which interacts with simulated time only through the
+// Req* setters (see step.go). Fields are documented as read-only for
+// application code unless stated otherwise.
 type Proc struct {
 	K    *Kernel
 	Name string
@@ -109,7 +99,7 @@ type Proc struct {
 	chargeTo      *Proc
 	lastBandEpoch uint64
 
-	// The pending request, valid from the yield that issues it until the
+	// The pending request, valid from the step that issues it until the
 	// scheduler applies it.
 	reqKind     reqKind
 	reqD        int64
@@ -118,168 +108,13 @@ type Proc struct {
 	reqWq       *WaitQ
 	reqTimeout  int64
 
-	// step, when non-nil, is the body of a stackless process: the
-	// scheduler calls it inline at each dispatch instead of switching to
-	// a goroutine, and coro/done stay nil. See step.go.
+	// step is the process body: the scheduler calls it inline at each
+	// dispatch. See step.go.
 	step StepFn
-	// delayWq is the private wait queue backing ReqDelay/Delay: nothing
-	// but the sleep timeout ever wakes it, so one reusable queue per
-	// process replaces an allocation per Delay call.
+	// delayWq is the private wait queue backing ReqDelay: nothing but the
+	// sleep timeout ever wakes it, so one reusable queue per process
+	// replaces an allocation per delay.
 	delayWq WaitQ
-
-	coro *sim.Coro
-	// resumedBy, when non-nil, is the coroutine parked inside runProcStep
-	// waiting for this process's next request; the next yield switches
-	// straight back to it. Nil means the process was dispatched by direct
-	// handoff and owns the event loop itself.
-	resumedBy *sim.Coro
-	// dispatched is set by the scheduler when it selects this process to
-	// run and cleared by the process as it resumes user code. A parked
-	// process uses it to distinguish "run your next step" from "the event
-	// loop merely passed through your goroutine".
-	dispatched bool
-	done       chan struct{}
-	crash      any
-}
-
-// procMain is the goroutine body wrapping user code.
-func procMain(p *Proc, fn func(*Proc)) {
-	defer close(p.done)
-	p.coro.Park() // birth: wait for the first dispatch
-	if p.coro.Killed() {
-		return
-	}
-	p.dispatched = false
-	res := func() (r any) {
-		defer func() { r = recover() }()
-		fn(p)
-		return nil
-	}()
-	if res == errKilled {
-		return
-	}
-	if res != nil && res != errExited {
-		p.crash = res
-	}
-	k := p.K
-	p.reqKind = reqExit
-	if rb := p.resumedBy; rb != nil {
-		// A dispatcher is parked in runProcStep waiting for this step's
-		// request; wake it as the goroutine unwinds and let it apply the
-		// exit, exactly as it applies any other request.
-		p.resumedBy = nil
-		k.Eng.LeaveTo(rb)
-		return
-	}
-	// This process owns the event loop: apply its own exit, pick the next
-	// work, and return the loop to the root coroutine on the way out.
-	k.applyRequest(p)
-	k.inSched = false
-	k.reschedule()
-	k.Eng.LeaveToRoot()
-}
-
-// yield hands the pending request (already stored in p.req*) to the
-// scheduler and blocks until the process is dispatched again.
-//
-// Two postures, mirroring how the process was last dispatched. If a
-// dispatcher coroutine is parked in runProcStep waiting on us
-// (resumedBy), switch straight back: it applies the request and
-// continues its scheduling loop. Otherwise this process was dispatched
-// by direct handoff and owns the event loop itself: apply the request
-// in place, reschedule, and keep driving — if the scheduler picked us
-// again the yield returns without any goroutine switch at all.
-//
-//lrp:hotpath
-func (p *Proc) yield() {
-	if p.step != nil {
-		// Blocking methods need a goroutine to park; a stackless body
-		// must issue requests with the Req* setters and return instead.
-		panic("kernel: blocking call on stackless process " + p.Name) //lrp:coldalloc assertion path
-	}
-	k := p.K
-	if rb := p.resumedBy; rb != nil {
-		p.resumedBy = nil
-		if k.Eng.SwitchTo(rb) {
-			panic(errKilled)
-		}
-		p.dispatched = false
-		return
-	}
-	k.applyRequest(p)
-	k.inSched = false
-	k.reschedule()
-	k.drive(p)
-}
-
-// Compute consumes d microseconds of CPU as user time. The process may be
-// preempted and interrupted while computing; it returns once d microseconds
-// of CPU have actually been granted.
-//
-//lrp:hotpath
-func (p *Proc) Compute(d int64) {
-	if p.ReqCompute(d) {
-		p.yield()
-	}
-}
-
-// ComputeSys consumes d microseconds of CPU as system time (work done in
-// kernel context on this process's behalf: system calls, lazy protocol
-// processing, data copies).
-//
-//lrp:hotpath
-func (p *Proc) ComputeSys(d int64) {
-	if p.ReqComputeSys(d) {
-		p.yield()
-	}
-}
-
-// ComputeSysFor consumes d microseconds of CPU as system time but charges
-// the scheduler usage to owner. The LRP asynchronous TCP processing thread
-// uses this so that "CPU usage is charged back to that application".
-//
-//lrp:hotpath
-func (p *Proc) ComputeSysFor(owner *Proc, d int64) {
-	if p.ReqComputeSysFor(owner, d) {
-		p.yield()
-	}
-}
-
-// Sleep blocks the process on wq until a wakeup.
-//
-//lrp:hotpath
-func (p *Proc) Sleep(wq *WaitQ) {
-	p.ReqSleep(wq)
-	p.yield()
-}
-
-// SleepTimeout blocks the process on wq until a wakeup or until timeout
-// microseconds pass; it reports whether it timed out.
-//
-//lrp:hotpath
-func (p *Proc) SleepTimeout(wq *WaitQ, timeout int64) (timedOut bool) {
-	p.ReqSleepTimeout(wq, timeout)
-	p.yield()
-	if timeout <= 0 {
-		return false
-	}
-	return p.timedOut
-}
-
-// Delay blocks the process for d microseconds of simulated time without
-// consuming CPU (like sleeping on a timer).
-func (p *Proc) Delay(d int64) {
-	if p.ReqDelay(d) {
-		p.yield()
-	}
-}
-
-// Exit terminates the process immediately, unwinding its goroutine.
-func (p *Proc) Exit() {
-	if p.step != nil {
-		panic("kernel: Exit on stackless process " + p.Name + "; request exit with ReqExit") //lrp:coldalloc assertion path
-	}
-	panic(errExited)
 }
 
 // Now returns the current simulated time (valid while the process runs).
@@ -401,11 +236,11 @@ func (p *Proc) DeliverWakeup() {
 // and run lists, joins dst's (with a fresh FIFO sequence), and pays
 // cost microseconds of extra work on its next burst (the cache-refill
 // price of running cold on another CPU). It reports whether the
-// migration happened: pinned, non-runnable, dispatched, or mid-burst
-// processes — and processes already on dst — do not move.
+// migration happened: pinned, non-runnable, or mid-burst processes — and
+// processes already on dst — do not move.
 func (p *Proc) MigrateTo(dst *Kernel, cost int64) bool {
 	src := p.K
-	if dst == src || p.state != stateRunnable || p.Pinned || p.dispatched || src.curRunProc == p {
+	if dst == src || p.state != stateRunnable || p.Pinned || src.curRunProc == p {
 		return false
 	}
 	src.removeRunnable(p)

@@ -33,22 +33,17 @@ func TestRemoteWakeupDoesNotReorderSameCPURunnables(t *testing.T) {
 	var order []string
 	var at []sim.Time
 	var wqRemote, wqLocal WaitQ
-	k0.Spawn("remote", 0, func(p *Proc) {
-		p.Sleep(&wqRemote)
+	k0.SpawnStep("remote", 0, seq(sleep(&wqRemote), do(func(p *Proc) {
 		order = append(order, "remote")
 		at = append(at, p.Now())
-	})
-	k0.Spawn("local", 0, func(p *Proc) {
-		p.SleepTimeout(&wqLocal, 120)
+	})))
+	k0.SpawnStep("local", 0, seq(sleepTimeout(&wqLocal, 120), do(func(p *Proc) {
 		order = append(order, "local")
 		at = append(at, p.Now())
-	})
+	})))
 	// t=100: a process on CPU 1 wakes "remote". The wakeup is cross-CPU,
 	// so until the IPI lands "remote" is runnable nowhere.
-	k1.Spawn("waker", 0, func(p *Proc) {
-		p.Delay(100)
-		wqRemote.WakeupAll()
-	})
+	k1.SpawnStep("waker", 0, seq(delay(100), do(func(p *Proc) { wqRemote.WakeupAll() })))
 	// CPU 0 is pinned in the interrupt band from t=90 to t=210, so both
 	// wakeups — "local" at its t=120 timeout, "remote" when the IPI work
 	// item drains after the band clears — join the run queue before the
@@ -74,11 +69,7 @@ func TestDeliverWakeupStaleIPIIsHarmless(t *testing.T) {
 	eng, k := newTestKernel(t)
 	var wq WaitQ
 	runs := 0
-	p := k.Spawn("sleeper", 0, func(p *Proc) {
-		p.SleepTimeout(&wq, 100)
-		runs++
-		p.Compute(50)
-	})
+	p := k.SpawnStep("sleeper", 0, seq(sleepTimeout(&wq, 100), do(func(p *Proc) { runs++ }), compute(50)))
 	// The "IPI" lands at t=300, long after the t=100 timeout woke and ran
 	// the process to completion.
 	eng.At(300, p.DeliverWakeup)

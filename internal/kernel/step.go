@@ -1,93 +1,40 @@
 package kernel
 
-// Stackless processes.
+// Process bodies.
 //
-// A stackless process has no goroutine and no sim.Coro: its body is an
+// A process has no goroutine and no stack of its own: its body is an
 // explicit state machine — a StepFn closed over a state word and typed
-// locals — that the scheduler calls inline at every dispatch. Where a
-// goroutine body blocks (Compute, Sleep, ...), a step body stores the
-// same typed request in the Proc's req* fields via the Req* setters and
-// returns; the scheduler applies the request exactly where the old
-// dispatcher applied a yielded one. A simulated context switch is then
-// a function return plus a function call, with no channel operations
-// and no goroutine wakeup.
-//
-// The two modes are interchangeable: scheduling decisions, accounting
-// and event order depend only on the request stream, never on which
-// goroutine hosts the body, so a world may mix stackless and goroutine
-// processes freely and produce bit-identical results either way.
-// SpawnStepCoro runs a StepFn state machine on a goroutine coroutine —
-// the fallback for debugging and the lever the equivalence tests use.
-//
-// Step bodies must not call the blocking Proc methods (Compute, Sleep,
-// Delay, Exit, Block, ...); the stepfn lrplint analyzer enforces this
-// statically and Proc.yield guards it at runtime. See DESIGN.md §11.
+// locals — that the scheduler calls inline at every dispatch. A step
+// stores one typed request in the Proc's req* fields via a Req* setter
+// (compute, sleep, delay, exit) and returns; the scheduler applies the
+// request and picks the next work. A simulated context switch is then a
+// function return plus a function call, with no channel operations and
+// no goroutine wakeup. See DESIGN.md §11.
 
-// StepFn is the body of a stackless process. The scheduler calls it
-// once per dispatch; it must store exactly one request via a Req*
-// setter before returning (returning with no request pending is a
-// fatal error). Control state lives in the closure (or a struct the
-// closure points at), not on a stack.
+// StepFn is the body of a process. The scheduler calls it once per
+// dispatch; it must store exactly one request via a Req* setter before
+// returning (returning with no request pending is a fatal error).
+// Control state lives in the closure (or a struct the closure points
+// at), not on a stack.
 type StepFn func(*Proc)
 
-// SpawnStep creates a stackless process running the step state machine
-// and makes it runnable. The step function executes inline on whichever
-// goroutine is driving the simulation; it must interact with simulated
-// time only through the non-blocking Proc methods.
-func (k *Kernel) SpawnStep(name string, nice int, step StepFn) *Proc {
-	p := k.newProc(name, nice)
-	p.step = step
-	k.addRunnable(p)
-	k.reschedule()
-	return p
+// Hog returns the body of a compute-bound process that never blocks: at
+// every dispatch it requests quantum microseconds of user CPU. A hog's
+// CPU share measures how much of the machine network processing leaves
+// to an application.
+func Hog(quantum int64) StepFn {
+	return func(p *Proc) { p.ReqCompute(quantum) }
 }
 
-// SpawnStepCoro runs the same state machine on a goroutine coroutine:
-// the step function is called in a loop on a dedicated goroutine, with
-// a blocking yield between steps. Simulation behaviour is identical to
-// SpawnStep — only the hosting (and the real-time cost of a dispatch)
-// differs — so a workload written as a StepFn can be flipped between
-// modes for debugging or A/B equivalence checks.
-func (k *Kernel) SpawnStepCoro(name string, nice int, step StepFn) *Proc {
-	return k.Spawn(name, nice, func(p *Proc) {
-		for {
-			p.reqKind = reqNone
-			step(p)
-			switch p.reqKind {
-			case reqNone:
-				panic("kernel: step body of " + p.Name + " returned without a request") //lrp:coldalloc assertion path
-			case reqExit:
-				return
-			}
-			p.yield()
-		}
-	})
-}
+// Request setters. Each stores a typed request and reports whether the
+// caller must return to the scheduler. A false result (zero-cost compute,
+// zero delay) means the request is a no-op and the step may simply
+// continue, so step machines can be written as
+// `if p.ReqCompute(d) { frame.pc = next; return }`.
 
-// stepStackless runs one step of a stackless process and applies the
-// request it returns with — the stackless twin of [user step, apply]
-// inside runProcStep. Engine context; the caller holds inSched as the
-// user-window guard for the duration of the step.
-//
-//lrp:hotpath
-func (k *Kernel) stepStackless(p *Proc) {
-	p.reqKind = reqNone
-	p.step(p)
-	if p.reqKind == reqNone {
-		panic("kernel: step body of " + p.Name + " returned without a request") //lrp:coldalloc assertion path
-	}
-	k.applyRequest(p)
-}
-
-// Request setters. Each stores the typed request a blocking Proc method
-// would have yielded and reports whether the caller must return to the
-// scheduler. A false result (zero-cost compute, zero delay) means the
-// request is a no-op and the step may simply continue — mirroring how
-// the blocking variants return without yielding — so step machines can
-// be written as `if p.ReqCompute(d) { frame.pc = next; return }`.
-
-// ReqCompute requests d microseconds of user-time CPU (the stackless
-// Compute).
+// ReqCompute requests d microseconds of user-time CPU. The process may be
+// preempted and interrupted while computing; its next step runs once d
+// microseconds of CPU have actually been granted.
 //
 //lrp:hotpath
 func (p *Proc) ReqCompute(d int64) bool {
@@ -101,8 +48,9 @@ func (p *Proc) ReqCompute(d int64) bool {
 	return true
 }
 
-// ReqComputeSys requests d microseconds of system-time CPU (the
-// stackless ComputeSys).
+// ReqComputeSys requests d microseconds of system-time CPU: work done in
+// kernel context on this process's behalf (system calls, lazy protocol
+// processing, data copies).
 //
 //lrp:hotpath
 func (p *Proc) ReqComputeSys(d int64) bool {
@@ -116,8 +64,10 @@ func (p *Proc) ReqComputeSys(d int64) bool {
 	return true
 }
 
-// ReqComputeSysFor requests d microseconds of system-time CPU charged
-// to owner (the stackless ComputeSysFor).
+// ReqComputeSysFor requests d microseconds of system-time CPU whose
+// scheduler usage is charged to owner. The LRP asynchronous TCP
+// processing thread uses this so that "CPU usage is charged back to that
+// application".
 //
 //lrp:hotpath
 func (p *Proc) ReqComputeSysFor(owner *Proc, d int64) bool {
@@ -131,8 +81,8 @@ func (p *Proc) ReqComputeSysFor(owner *Proc, d int64) bool {
 	return true
 }
 
-// ReqSleep requests a block on wq until a wakeup (the stackless Sleep).
-// It always requires a return to the scheduler.
+// ReqSleep requests a block on wq until a wakeup. It always requires a
+// return to the scheduler.
 //
 //lrp:hotpath
 func (p *Proc) ReqSleep(wq *WaitQ) bool {
@@ -143,8 +93,8 @@ func (p *Proc) ReqSleep(wq *WaitQ) bool {
 }
 
 // ReqSleepTimeout requests a block on wq until a wakeup or until
-// timeout microseconds pass (the stackless SleepTimeout). After the
-// process is next stepped, TimedOut reports which one ended the sleep.
+// timeout microseconds pass. After the process is next stepped, TimedOut
+// reports which one ended the sleep.
 //
 //lrp:hotpath
 func (p *Proc) ReqSleepTimeout(wq *WaitQ, timeout int64) bool {
@@ -159,7 +109,7 @@ func (p *Proc) ReqSleepTimeout(wq *WaitQ, timeout int64) bool {
 }
 
 // ReqDelay requests a block for d microseconds of simulated time
-// without consuming CPU (the stackless Delay), using the process's
+// without consuming CPU (like sleeping on a timer), using the process's
 // private delay queue.
 //
 //lrp:hotpath
@@ -173,7 +123,7 @@ func (p *Proc) ReqDelay(d int64) bool {
 	return true
 }
 
-// ReqExit requests process termination (the stackless Exit).
+// ReqExit requests process termination.
 func (p *Proc) ReqExit() bool {
 	p.reqKind = reqExit
 	return true
@@ -183,24 +133,3 @@ func (p *Proc) ReqExit() bool {
 // timeout rather than wakeup. Valid from the dispatch that follows a
 // ReqSleepTimeout until the next sleep.
 func (p *Proc) TimedOut() bool { return p.timedOut }
-
-// Stackless reports whether the process runs as an inline-stepped state
-// machine (no goroutine).
-func (p *Proc) Stackless() bool { return p.step != nil }
-
-// Block yields the request already stored by a Req* setter and returns
-// when the process is dispatched again. It is how a goroutine-mode body
-// drives a shared step machine: `for !op.Step(p) { p.Block() }`. On a
-// stackless process Block panics — a step body returns to the scheduler
-// instead. A pending exit request unwinds the goroutine like Exit.
-//
-//lrp:hotpath
-func (p *Proc) Block() {
-	switch p.reqKind {
-	case reqNone:
-		panic("kernel: Block on " + p.Name + " with no pending request") //lrp:coldalloc assertion path
-	case reqExit:
-		panic(errExited)
-	}
-	p.yield()
-}

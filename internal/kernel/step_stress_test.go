@@ -1,10 +1,8 @@
 package kernel
 
-// Stress and equivalence coverage for stackless processes: the 100k-proc
-// world the stackless mode exists to make cheap (100k goroutines would
-// cost gigabytes of stacks and channel-pair context switches), and the
-// mixed-mode scheduling contract (stackless and goroutine-hosted bodies
-// interleave with identical accounting).
+// Stress coverage for stackless processes: the 100k-proc world they make
+// cheap (100k goroutines would cost gigabytes of stacks and channel-pair
+// context switches).
 
 import (
 	"testing"
@@ -84,87 +82,5 @@ func TestStackless100kProcs(t *testing.T) {
 		if p.UTime != 10 || p.STime != 5 {
 			t.Fatalf("accounting utime=%d stime=%d, want 10/5", p.UTime, p.STime)
 		}
-	}
-}
-
-// TestMixedModeEquivalence runs the same two-process producer/consumer
-// state machine three ways — both stackless, both goroutine-hosted
-// (SpawnStepCoro), and one of each — and requires identical completion
-// times and accounting. This is the mixing contract: scheduling depends
-// only on the request stream, never on which goroutine hosts the body.
-func TestMixedModeEquivalence(t *testing.T) {
-	type result struct {
-		doneAt sim.Time
-		prodU  int64
-		prodS  int64
-		consS  int64
-	}
-	run := func(coroA, coroB bool) result {
-		eng := sim.NewEngine()
-		k := New(eng, "test")
-		defer k.Shutdown()
-		var full, empty WaitQ
-		queued := 0
-		spawn := func(coro bool, name string, step StepFn) *Proc {
-			if coro {
-				return k.SpawnStepCoro(name, 0, step)
-			}
-			return k.SpawnStep(name, 0, step)
-		}
-		produced := 0
-		a := spawn(coroA, "producer", func(p *Proc) {
-			for {
-				if produced == 50 {
-					p.ReqExit()
-					return
-				}
-				if queued >= 4 {
-					p.ReqSleep(&empty)
-					return
-				}
-				produced++
-				queued++
-				full.WakeupAll()
-				if p.ReqCompute(30) {
-					return
-				}
-			}
-		})
-		consumed := 0
-		var doneAt sim.Time
-		b := spawn(coroB, "consumer", func(p *Proc) {
-			for {
-				if consumed == 50 {
-					doneAt = p.Now()
-					p.ReqExit()
-					return
-				}
-				if queued == 0 {
-					p.ReqSleep(&full)
-					return
-				}
-				queued--
-				consumed++
-				empty.WakeupAll()
-				if p.ReqComputeSys(70) {
-					return
-				}
-			}
-		})
-		eng.RunFor(10 * sim.Second)
-		if consumed != 50 {
-			t.Fatalf("consumed %d of 50 (coroA=%v coroB=%v)", consumed, coroA, coroB)
-		}
-		return result{doneAt: doneAt, prodU: a.UTime, prodS: a.STime, consS: b.STime}
-	}
-	base := run(false, false)
-	if coro := run(true, true); coro != base {
-		t.Errorf("all-coroutine run diverged: %+v vs %+v", coro, base)
-	}
-	if mixed := run(false, true); mixed != base {
-		t.Errorf("mixed run diverged: %+v vs %+v", mixed, base)
-	}
-	if mixed := run(true, false); mixed != base {
-		t.Errorf("mixed run diverged: %+v vs %+v", mixed, base)
 	}
 }

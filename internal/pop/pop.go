@@ -93,9 +93,6 @@ type Config struct {
 	// TTL of generated packets (default 64; must exceed the topology's
 	// hop count).
 	TTL byte
-	// Coroutine hosts the proc on a goroutine instead of stepping it
-	// stacklessly (the fallback execution mode).
-	Coroutine bool
 }
 
 func (c Config) withDefaults() Config {
@@ -192,7 +189,7 @@ func (g *Population) Start() {
 		}
 		return r
 	}
-	g.Proc = spawnStep(g.Host.K, "pop", 0, cfg.Coroutine, func(p *kernel.Proc) {
+	g.Proc = g.Host.K.SpawnStep("pop", 0, func(p *kernel.Proc) {
 		for {
 			if g.stopped {
 				p.ReqExit()
@@ -344,13 +341,4 @@ func paretoSize(r *sim.Rand, lo, hi int, alpha float64) int {
 		x = l
 	}
 	return int(x)
-}
-
-// spawnStep starts the proc in the requested execution mode (see
-// app.spawnStep: same body, same request stream either way).
-func spawnStep(k *kernel.Kernel, name string, nice int, coro bool, step kernel.StepFn) *kernel.Proc {
-	if coro {
-		return k.SpawnStepCoro(name, nice, step)
-	}
-	return k.SpawnStep(name, nice, step)
 }

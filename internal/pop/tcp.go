@@ -32,8 +32,6 @@ type SessionChurn struct {
 	SizeMax   int
 	SizeAlpha float64
 	Seed      uint64
-	// Coroutine hosts the proc on a goroutine (fallback execution mode).
-	Coroutine bool
 
 	Completed metrics.Counter
 	Failures  metrics.Counter
@@ -78,12 +76,12 @@ func (c *SessionChurn) Start() {
 		cl   core.CloseTCPOp
 	)
 	fail := func(p *kernel.Proc) bool {
-		c.Host.AbortTCP(nil, sck)
+		c.Host.AbortTCP(sck)
 		c.Failures.Inc()
 		pc = scThink
 		return p.ReqDelay(think.ExpDuration(c.ThinkMeanUs))
 	}
-	c.Proc = spawnStep(c.Host.K, "pop-tcp", 0, c.Coroutine, func(p *kernel.Proc) {
+	c.Proc = c.Host.K.SpawnStep("pop-tcp", 0, func(p *kernel.Proc) {
 		// The body is a pure `for { switch pc }` machine so the stepreq
 		// analyzer partitions its state per arm; the stop check lives in
 		// scThink, the only arm every session cycles through.

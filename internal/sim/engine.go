@@ -129,30 +129,17 @@ type Engine struct {
 	// processed counts events that have fired, for diagnostics and for the
 	// runaway-loop guard in RunUntil.
 	processed uint64
-
-	// horizon is the deadline of the innermost Run/RunUntil in progress
-	// (MaxTime outside any bounded run). Process coroutines that fire
-	// events in place consult it through StepWithin so a direct-handoff
-	// run stops at exactly the same instant a root-driven run would.
-	horizon Time
-
-	// cur is the coroutine executing right now; root is the coroutine of
-	// whoever calls Run/RunUntil. See coro.go.
-	cur  *Coro
-	root Coro
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	e := &Engine{horizon: MaxTime}
+	e := &Engine{}
 	for t := range e.tiers {
 		for s := range e.tiers[t] {
 			l := &e.tiers[t][s]
 			l.tier, l.slot = int32(t), int32(s)
 		}
 	}
-	e.root.wake = make(chan struct{}, 1)
-	e.cur = &e.root
 	return e
 }
 
@@ -399,32 +386,38 @@ func (e *Engine) unscheduleHead(ev *event) (wheelHint *event) {
 
 // Run fires events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
-	prev := e.horizon
-	e.horizon = MaxTime
-	for e.StepWithin() {
+	for e.stepWithin(MaxTime) {
 	}
-	e.horizon = prev
 }
 
 // RunUntil fires events with timestamps <= deadline, then advances the clock
 // to the deadline. Events scheduled exactly at the deadline fire. It returns
 // the number of events processed.
-//
-// An event may hand control to a process coroutine (see coro.go); the
-// loop resumes here once every coroutine has parked again, so by return
-// all simulated activity up to the deadline has completed regardless of
-// which goroutine hosted it.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.processed
-	prev := e.horizon
-	e.horizon = deadline
-	for e.StepWithin() {
+	for e.stepWithin(deadline) {
 	}
-	e.horizon = prev
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 	return e.processed - start
+}
+
+// stepWithin fires the next event if it is scheduled at or before
+// deadline. It returns false — without advancing the clock — when the
+// engine is stopped, the queue is empty, or the head event lies beyond
+// the deadline.
+//
+//lrp:hotpath
+func (e *Engine) stepWithin(deadline Time) bool {
+	if e.stopped {
+		return false
+	}
+	ev := e.peek()
+	if ev == nil || ev.when > deadline {
+		return false
+	}
+	return e.Step()
 }
 
 // RunFor advances the simulation by d microseconds from the current time.

@@ -9,6 +9,7 @@ import (
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
 	"lrp/internal/sim"
+	"lrp/internal/socket"
 )
 
 const mbps155 = 155_000_000
@@ -144,16 +145,7 @@ func TestReversePathReachesEdges(t *testing.T) {
 	defer topo.Shutdown()
 	edge := topo.Edges[0]
 	var got int
-	edge.K.Spawn("edgesink", 0, func(p *kernel.Proc) {
-		s := edge.NewUDPSocket(p)
-		_ = edge.BindUDP(s, 9)
-		for {
-			if _, err := edge.RecvFrom(p, s); err != nil {
-				return
-			}
-			got++
-		}
-	})
+	edge.K.SpawnStep("edgesink", 0, countUDP(edge, 9, &got))
 	b := pkt.UDPPacket(topo.Server.Addr, edge.Addr, 99, 9, 1, 64, nil, true)
 	eng.At(100, func() { topo.Net.InjectFrom(topo.Server.Addr, b) })
 	eng.RunFor(200 * sim.Millisecond)
@@ -171,16 +163,27 @@ func TestReversePathReachesEdges(t *testing.T) {
 // delivered-datagram count.
 func sinkUDP(t *Topology) *int {
 	var got int
-	srv := t.Server
-	srv.K.Spawn("sink", 0, func(p *kernel.Proc) {
-		s := srv.NewUDPSocket(p)
-		_ = srv.BindUDP(s, 7)
-		for {
-			if _, err := srv.RecvFrom(p, s); err != nil {
+	t.Server.K.SpawnStep("sink", 0, countUDP(t.Server, 7, &got))
+	return &got
+}
+
+// countUDP is the body of a process that binds a UDP socket on h to port
+// and counts the datagrams it receives until the socket fails.
+func countUDP(h *core.Host, port uint16, got *int) kernel.StepFn {
+	var s *socket.Socket
+	var recv core.RecvFromOp
+	return func(p *kernel.Proc) {
+		if s == nil {
+			s = h.NewUDPSocket(p)
+			_ = h.BindUDP(s, port)
+		}
+		for h.RecvFromStep(p, s, &recv) {
+			if recv.Err != nil {
+				p.ReqExit()
 				return
 			}
-			got++
+			*got++
+			recv.Reset()
 		}
-	})
-	return &got
+	}
 }
