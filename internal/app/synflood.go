@@ -32,9 +32,6 @@ type SYNFlood struct {
 	seq     uint32
 	ipid    uint16
 	pool    *mbuf.Pool
-	// lane carries the flood's self-chained emission events: at most one
-	// is outstanding, so posting is a lane append, not a heap sift.
-	lane *sim.Lane
 	// emit is the single reusable firing thunk; rebuilding it per SYN
 	// would allocate a closure on every emission.
 	emit func()
@@ -52,7 +49,6 @@ func (f *SYNFlood) Start() {
 		f.sport = 1024
 	}
 	f.pool = mbuf.NewPool(genPoolLimit)
-	f.lane = f.Net.Eng.NewLane()
 	f.emit = func() {
 		if f.stopped {
 			return
@@ -94,7 +90,7 @@ func (f *SYNFlood) schedule() {
 	if gap < 1 {
 		gap = 1
 	}
-	f.lane.PostAfter(f.Rng.Jitter(gap, f.Jitter), f.emit)
+	f.Net.Eng.After(f.Rng.Jitter(gap, f.Jitter), f.emit)
 }
 
 // StartDummyServer spawns the flood's victim: "a dummy server running on

@@ -44,7 +44,7 @@ func benchmarkSMPCell(b *testing.B, cores int) {
 		// Steady-state allocation metric: count mallocs across the run
 		// phase only, so world construction (fresh engine, host, apps every
 		// iteration) does not drown it. Warm-up growth (event free list,
-		// mbuf pools, lane hot array) leaves a small constant per run;
+		// mbuf pools, overflow heap) leaves a small constant per run;
 		// anything per-event shows up as allocs/event near or above 1.
 		runtime.ReadMemStats(&ms)
 		pre := ms.Mallocs

@@ -37,14 +37,6 @@ type port struct {
 	// rxFreeAt serializes delivery into the host: a 155 Mbit/s link can
 	// only hand over so many packets per second.
 	rxFreeAt sim.Time
-	// txLane carries this port's wire-serialization completions (the NIC
-	// transmits one packet at a time) and rxLane its fault-free inbound
-	// deliveries (rxFreeAt makes delivery times non-decreasing): both are
-	// FIFO by construction, so posting is a lane append, not a heap sift.
-	// Fault-delayed and duplicated deliveries intentionally break FIFO
-	// order and take the engine's wheel instead.
-	txLane *sim.Lane
-	rxLane *sim.Lane
 	// rcDst/rcVia cache the last unicast routing decision for packets
 	// leaving this attachment, so steady flows skip the per-packet map
 	// lookups. Invalidated whenever the topology changes.
@@ -84,9 +76,6 @@ type Network struct {
 	// suffices because the receiving NIC copies the packet synchronously
 	// in Rx and events fire one at a time.
 	scratch []byte
-	// postBuf is the reusable argument block for duplicate deliveries'
-	// PostBatch call (the engine does not retain the slice).
-	postBuf [2]sim.Post
 	// freeDeliv recycles delivery thunks: one closure per pooled object,
 	// built at creation, instead of one per delivered packet.
 	freeDeliv []*delivery
@@ -170,15 +159,13 @@ func (nw *Network) Attach(n *nic.NIC, addr pkt.Addr, bandwidthBps int64, propDel
 		addr:         addr,
 		bwBytesPerUs: float64(bandwidthBps) / 8 / 1e6,
 		propDelay:    propDelay,
-		txLane:       nw.Eng.NewLane(),
-		rxLane:       nw.Eng.NewLane(),
 	}
 	nw.ports[addr] = p
 	nw.order = append(nw.order, p)
 	nw.routesChanged()
 	n.Transmit = func(m *mbuf.Mbuf, done func()) {
 		st := nw.serializationTime(p, m.Len())
-		p.txLane.PostAfter(st, func() {
+		nw.Eng.After(st, func() {
 			done()
 			nw.route(p, m.Data, m, p.propDelay)
 		})
@@ -309,29 +296,16 @@ func (nw *Network) deliverTo(dst *port, b []byte, m *mbuf.Mbuf, propDelay int64)
 	if corrupt {
 		nw.stats.Corrupted++
 	}
-	d := nw.newDelivery(dst, b, m, corrupt)
+	nw.Eng.At(deliver, nw.newDelivery(dst, b, m, corrupt).fn)
 	if v.Duplicate {
 		// The copy rides its own wire reference on the shared storage and
-		// receives the same corruption treatment as the original. Both
-		// deliveries re-enter the engine as one non-decreasing batch.
+		// receives the same corruption treatment as the original.
 		if m != nil {
 			m.AddRef()
 		}
 		nw.stats.Delivered++
-		dup := nw.newDelivery(dst, b, m, corrupt)
-		nw.postBuf[0] = sim.Post{At: deliver, Fn: d.fn}
-		nw.postBuf[1] = sim.Post{At: deliver + sim.Time(v.DupDelayUs), Fn: dup.fn}
-		nw.Eng.PostBatch(nw.postBuf[:])
-		nw.postBuf[0].Fn, nw.postBuf[1].Fn = nil, nil
-		return
+		nw.Eng.At(deliver+sim.Time(v.DupDelayUs), nw.newDelivery(dst, b, m, corrupt).fn)
 	}
-	if v.ExtraDelayUs != 0 {
-		// A fault-delayed packet may be overtaken by later traffic: it
-		// leaves the port's FIFO delivery order and takes the wheel.
-		nw.Eng.At(deliver, d.fn)
-		return
-	}
-	dst.rxLane.Post(deliver, d.fn)
 }
 
 // corruptCopy returns the wire bytes with a payload byte flipped, in the

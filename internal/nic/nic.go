@@ -116,11 +116,6 @@ type NIC struct {
 
 	nicBacklog   int      // packets queued for the embedded processor
 	nicBusyUntil sim.Time // when the embedded processor finishes its backlog
-	// nicLane feeds the embedded processor's completion events to the
-	// engine: the processor serves packets serially, so completion times
-	// are non-decreasing by construction and each post is a plain lane
-	// append instead of a heap sift.
-	nicLane *sim.Lane
 	// nicPend holds the packets awaiting the embedded processor, FIFO from
 	// nicHead; completions fire in post order, so the head is always the
 	// packet being finished. nicStep is the single completion thunk shared
@@ -180,7 +175,6 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 		NICInputLimit: cfg.NICInputLimit,
 		rxq:           make([]rxQueue, cfg.RxQueues),
 		ifq:           mbuf.NewQueue(cfg.IfqLimit),
-		nicLane:       eng.NewLane(),
 	}
 	for i := range n.rxq {
 		n.rxq[i].ring = mbuf.NewQueue(cfg.RxRingSize)
@@ -270,7 +264,7 @@ func (n *NIC) Rx(b []byte) {
 		n.nicBusyUntil += n.NICPerPktCost
 		n.nicBacklog++
 		n.nicPend = append(n.nicPend, m) //lrp:coldalloc grows to the backlog high-water, then stabilizes
-		n.nicLane.Post(n.nicBusyUntil, n.nicStep)
+		n.Eng.At(n.nicBusyUntil, n.nicStep)
 	}
 }
 

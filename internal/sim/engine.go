@@ -6,20 +6,18 @@
 // tie-breaking), which keeps whole-system runs deterministic and
 // reproducible.
 //
-// Internally the pending set is a two-tier scheduler rather than one global
-// priority heap (see wheel.go and lane.go):
+// Internally the pending set is a hierarchical timer wheel rather than one
+// global priority heap (see wheel.go):
 //
-//   - a hierarchical timer wheel — numTiers tiers of tierSlots power-of-two
-//     slot buckets — holds future-dated events with O(1) amortized insert
-//     and expire; an overflow 4-ary heap holds the rare event beyond the
-//     wheel's span and cascades back into the wheel as the cursor advances;
-//   - per-source FIFO lanes (Lane) hold the dominant near-term traffic —
-//     NIC ring drain, kernel burst chains, link serialization — where each
-//     producer's posts are already in time order, so insertion is a plain
-//     list append with no sifting at all;
-//   - a tiny top-level merge (peek) picks the global minimum across the
-//     lanes, the wheel and the overflow heap by exact (when, seq) compare,
-//     preserving the engine's total order bit-for-bit.
+//   - the wheel — numTiers tiers of tierSlots power-of-two slot buckets —
+//     holds every event within its span with O(1) amortized insert and
+//     expire;
+//   - an overflow 4-ary heap holds the rare event beyond the wheel's span
+//     and cascades back into the wheel as the cursor advances;
+//   - peek picks the global minimum of the wheel and the overflow heap by
+//     exact (when, seq) compare, preserving the engine's total order
+//     bit-for-bit, and caches it until an insert, a cancel or a fire
+//     invalidates it.
 //
 // All higher layers of the LRP reproduction — the simulated kernel, NICs,
 // links, protocols and applications — advance time exclusively through this
@@ -54,8 +52,8 @@ const MaxTime Time = math.MaxInt64
 
 // event is the pooled representation of one scheduled callback. Storage is
 // reused across schedulings; gen distinguishes incarnations. An event is
-// resident in exactly one place while pending: a wheel bucket or lane
-// (list != nil) or the overflow heap (idx >= 0).
+// resident in exactly one place while pending: a wheel bucket (list != nil)
+// or the overflow heap (idx >= 0).
 type event struct {
 	when Time
 	seq  uint64
@@ -63,8 +61,8 @@ type event struct {
 	idx  int // overflow-heap index; -1 when not heap-resident
 	fn   func()
 
-	// Intrusive doubly-linked membership in a wheel bucket or lane, so
-	// cancellation unlinks in O(1) without searching.
+	// Intrusive doubly-linked membership in a wheel bucket, so cancellation
+	// unlinks in O(1) without searching.
 	list       *evList
 	prev, next *event
 }
@@ -106,17 +104,13 @@ type Engine struct {
 	seq  uint64
 	free []*event // retired events awaiting reuse
 
-	// The pending set: hierarchical timer wheel + overflow heap (wheel.go)
-	// and per-source FIFO lanes (lane.go).
+	// The pending set: hierarchical timer wheel + overflow heap (wheel.go).
 	wpos      Time // wheel cursor: every wheel-resident event has when >= wpos
 	tiers     [numTiers][tierSlots]evList
 	bitmap    [numTiers][tierSlots / 64]uint64 // occupancy, one bit per slot
 	tierCount [numTiers]int                    // events resident per tier
 	tierMask  uint8                            // bit t set iff tierCount[t] > 0
 	overflow  eventHeap                        // beyond wheel span, or behind the cursor
-	lanes     []*Lane                          // registry of every lane created on this engine
-	laneHot   []laneSlot                       // active lanes, unsorted dense array of head keys
-	laneHeap  []laneSlot                       // spill beyond laneHotMax: 4-ary heap by head key
 
 	// peeked caches the winner of the last merge; nil means unknown. It is
 	// invalidated by firing, by cancelling the cached event, and by any
@@ -126,8 +120,8 @@ type Engine struct {
 	live    int // pending events across all structures
 	stopped bool
 
-	// processed counts events that have fired, for diagnostics and for the
-	// runaway-loop guard in RunUntil.
+	// processed counts events that have fired: Processed reports it and
+	// RunUntil returns its delta.
 	processed uint64
 }
 
@@ -203,52 +197,6 @@ func (e *Engine) After(d int64, fn func()) Event {
 	return e.At(e.now+d, fn)
 }
 
-// Post is one entry of a PostBatch call.
-type Post struct {
-	At Time
-	Fn func()
-}
-
-// PostBatch schedules a batch of events whose times are non-decreasing,
-// amortizing queue placement across the batch: consecutive entries for the
-// same instant append to the bucket located for the first of them, so a
-// burst of k same-time events costs one placement, not k. Times before Now
-// or out of order panic. Entries receive consecutive sequence numbers in
-// slice order, exactly as k separate At calls would, so batching never
-// changes the firing order. No handles are returned: batched events cannot
-// be individually cancelled.
-//
-//lrp:hotpath
-func (e *Engine) PostBatch(posts []Post) {
-	var bucket *evList
-	var first *event
-	var when Time
-	for i := range posts {
-		p := &posts[i]
-		if p.At < e.now {
-			panic(fmt.Sprintf("sim: scheduling event at %d before now %d", p.At, e.now))
-		}
-		if i > 0 && p.At < when {
-			panic(fmt.Sprintf("sim: PostBatch times out of order (%d after %d)", p.At, when))
-		}
-		ev := e.alloc(p.At, p.Fn)
-		if i == 0 {
-			first = ev
-		}
-		if bucket != nil && p.At == when {
-			e.bucketAppend(bucket, ev)
-		} else {
-			bucket = e.place(ev)
-			when = p.At
-		}
-		e.live++
-	}
-	if p := e.peeked; p != nil && first != nil && first.when < p.when {
-		// The batch head beats the cached winner, so it beats everything.
-		e.peeked = first
-	}
-}
-
 // Cancel removes a pending event from the queue. Cancelling a zero handle,
 // or one whose event has already fired or been cancelled, is a no-op, so
 // callers may cancel unconditionally. Cancellation is eager — the event's
@@ -267,19 +215,7 @@ func (e *Engine) Cancel(ev Event) {
 	if x.idx >= 0 {
 		e.overflow.remove(x.idx)
 	} else {
-		l := x.list
-		wasHead := l.head == x
-		l.unlink(x)
-		if l.tier >= 0 {
-			e.tierDec(l.tier)
-			if l.head == nil {
-				e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
-			}
-		} else if lane := l.lane; l.head == nil {
-			e.laneDrained(lane)
-		} else if wasHead {
-			e.laneHeadChanged(lane, l.head)
-		}
+		e.bucketRemove(x)
 	}
 	e.live--
 	e.retire(x)
@@ -316,9 +252,6 @@ func (e *Engine) Step() bool {
 	if hint := e.unscheduleHead(ev); hint != nil {
 		// The fired event's tier-0 bucket still has members (same instant,
 		// next seq): the next winner is a 2-way compare, no scan needed.
-		if lr := e.laneRoot(); lr != nil && less(lr, hint) {
-			hint = lr
-		}
 		if r := e.overflow.root(); r != nil && less(r, hint) {
 			hint = r
 		}
@@ -350,14 +283,14 @@ func (e *Engine) tierDec(t int32) {
 }
 
 // unscheduleHead detaches the merge winner from whichever structure holds
-// it. The winner is a lane head, the overflow-heap root, or a wheel-bucket
-// member — a tier-0 head when peek derived it, but possibly a tier >= 1
-// resident when the At/Post/PostBatch fast path cached a fresh insert that
-// beat the previous winner. Only a surviving tier-0 bucket yields a hint:
-// its members all share one instant and append in seq order, so the new
-// head is still the exact wheel minimum. Tier >= 1 bucket lists are
-// append-ordered, not time-ordered, so firing out of one must return nil
-// and let the next peek re-derive the minimum through the cascade loop.
+// it. The winner is the overflow-heap root or a wheel-bucket member — a
+// tier-0 head when peek derived it, but possibly a tier >= 1 resident when
+// At cached a fresh insert that beat the previous winner. Only a surviving
+// tier-0 bucket yields a hint: its members all share one instant and
+// append in seq order, so the new head is still the exact wheel minimum.
+// Tier >= 1 bucket lists are append-ordered, not time-ordered, so firing
+// out of one must return nil and let the next peek re-derive the minimum
+// through the cascade loop.
 //
 //lrp:hotpath
 func (e *Engine) unscheduleHead(ev *event) (wheelHint *event) {
@@ -366,20 +299,9 @@ func (e *Engine) unscheduleHead(ev *event) (wheelHint *event) {
 		return nil
 	}
 	l := ev.list
-	l.unlink(ev)
-	if l.tier >= 0 {
-		e.tierDec(l.tier)
-		if l.head == nil {
-			e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
-		} else if l.tier == 0 {
-			return l.head
-		}
-		return nil
-	}
-	if l.head != nil {
-		e.laneHeadChanged(l.lane, l.head)
-	} else {
-		e.laneDrained(l.lane)
+	e.bucketRemove(ev)
+	if l.tier == 0 {
+		return l.head
 	}
 	return nil
 }
@@ -454,8 +376,6 @@ func (e *Engine) NextEventTime() Time {
 type eventHeap struct {
 	a []*event
 }
-
-func (h *eventHeap) len() int { return len(h.a) }
 
 // root returns the minimum event without removing it, or nil when empty.
 func (h *eventHeap) root() *event {

@@ -178,26 +178,51 @@ func TestEngineNextEventTime(t *testing.T) {
 	}
 }
 
-// Regression: a cached merge winner living in a tier >= 1 wheel bucket
-// must not be followed by that bucket's (append-ordered) list head. The
-// sequence below caches the lane head via NextEventTime, then inserts
+// Regression: a cached winner living in a tier >= 1 wheel bucket must not
+// be followed by that bucket's (append-ordered) list head. The sequence
+// below parks an event beyond the wheel span, in the overflow heap, so
+// NextEventTime caches it without moving the wheel cursor. It then inserts
 // descending times that each become the cached winner and land in one
 // tier-1 bucket in list order 950, 920, 900; firing 900 out of it must
 // re-derive the minimum (920), not trust the list head (950).
 func TestEngineCachedWinnerInHighTierBucket(t *testing.T) {
 	e := NewEngine()
-	lane := e.NewLane()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	lane.Post(1000, rec)
-	if e.NextEventTime() != 1000 {
-		t.Fatalf("NextEventTime = %d, want 1000", e.NextEventTime())
+	const far = 1<<wheelBits + 1000
+	e.At(far, rec)
+	if e.NextEventTime() != far {
+		t.Fatalf("NextEventTime = %d, want %d", e.NextEventTime(), Time(far))
 	}
 	e.At(950, rec)
 	e.At(920, rec)
 	e.At(900, rec)
 	e.Run()
-	want := []Time{900, 920, 950, 1000}
+	want := []Time{900, 920, 950, far}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// Cancel-then-rearm-earlier, the kernel's burst-preemption pattern: the
+// outstanding event is cancelled and a replacement is scheduled before
+// both it and another pending event; the replacement must fire first.
+func TestEngineCancelThenRearmEarlier(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+
+	ev := e.At(100, func() { t.Fatal("cancelled event fired") })
+	e.At(70, func() { got = append(got, e.Now()) })
+	e.Cancel(ev)
+	e.At(50, func() { got = append(got, e.Now()) })
+	e.Run()
+
+	want := []Time{50, 70}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}

@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// This file checks the two-tier scheduler (timer wheel + lanes + overflow
-// heap + top-level merge) against a reference engine that reproduces the
-// old implementation: one global priority heap ordered by (when, seq).
-// The same seeded randomized program — schedules, same-instant bursts,
-// batched posts, cancels, cancel-then-rearm, lane traffic, far-future
-// events beyond the wheel span, and nested scheduling from inside
-// callbacks — runs against both, and the firing traces must be identical
-// down to tie order.
+// This file checks the scheduler (timer wheel + overflow heap + peek cache)
+// against a reference engine that reproduces the old implementation: one
+// global priority heap ordered by (when, seq). The same seeded randomized
+// program — schedules, same-instant bursts, monotone per-source chains,
+// cancels, cancel-then-rearm, far-future events beyond the wheel span, and
+// nested scheduling from inside callbacks — runs against both, and the
+// firing traces must be identical down to tie order.
 
 // refEvent is one pending entry of the reference engine.
 type refEvent struct {
@@ -54,7 +53,7 @@ func (h *refHeap) Pop() any {
 }
 
 // refEngine is the single-global-heap scheduler the engine used before the
-// wheel/lane split. Cancellation marks the entry and drops it at pop time,
+// timer wheel. Cancellation marks the entry and drops it at pop time,
 // which leaves the fire order untouched.
 type refEngine struct {
 	now  int64
@@ -107,15 +106,12 @@ type propSched interface {
 	now() int64
 	next() int64
 	at(t int64, fn func()) (cancel func(), active func() bool)
-	lanePost(lane int, t int64, fn func())
-	batch(at []int64, fn []func())
 	step() bool
 	pending() int
 }
 
 type newSched struct {
-	e     *Engine
-	lanes []*Lane
+	e *Engine
 }
 
 func (s *newSched) now() int64  { return s.e.Now() }
@@ -123,16 +119,6 @@ func (s *newSched) next() int64 { return s.e.NextEventTime() }
 func (s *newSched) at(t int64, fn func()) (func(), func() bool) {
 	h := s.e.At(t, fn)
 	return func() { s.e.Cancel(h) }, h.Active
-}
-func (s *newSched) lanePost(lane int, t int64, fn func()) {
-	s.lanes[lane].Post(t, fn)
-}
-func (s *newSched) batch(at []int64, fn []func()) {
-	posts := make([]Post, len(at))
-	for i := range at {
-		posts[i] = Post{At: at[i], Fn: fn[i]}
-	}
-	s.e.PostBatch(posts)
 }
 func (s *newSched) step() bool   { return s.e.Step() }
 func (s *newSched) pending() int { return s.e.Pending() }
@@ -157,20 +143,13 @@ func (s *refSched) at(t int64, fn func()) (func(), func() bool) {
 	return func() { s.e.cancel(ev) },
 		func() bool { return !ev.cancelled && ev.fn != nil }
 }
-func (s *refSched) lanePost(lane int, t int64, fn func()) {
-	s.e.at(t, fn) // a lane post is just an ordered At
-}
-func (s *refSched) batch(at []int64, fn []func()) {
-	for i := range at {
-		s.e.at(at[i], fn[i]) // consecutive seqs in slice order, like PostBatch
-	}
-}
 func (s *refSched) step() bool   { return s.e.step() }
 func (s *refSched) pending() int { return s.e.live }
 
-// propLanes exceeds laneHotMax so the spill heap and its lazy residency
-// are exercised, not just the dense hot array.
-const propLanes = laneHotMax + 8
+// propSources is the number of monotone per-source chains the program
+// keeps: each posts non-decreasing times while it has events pending, the
+// way NIC completions, link serialization and kernel burst chains do.
+const propSources = 24
 
 // propWorld runs the randomized program against one scheduler. Both worlds
 // get same-seed RNGs; as long as the engines fire in the same order, every
@@ -185,11 +164,11 @@ type propWorld struct {
 	cancels []func()
 	actives []func() bool
 
-	// Per-lane bookkeeping so lane posts respect the non-decreasing
-	// constraint: while a lane has pending events, posts must not precede
-	// its tail; once it drains, any time >= now is fair game again.
-	lanePending [propLanes]int
-	laneTail    [propLanes]int64
+	// Per-source bookkeeping so chain posts are non-decreasing: while a
+	// source has pending events, posts must not precede its tail; once it
+	// drains, any time >= now is fair game again.
+	srcPending [propSources]int
+	srcTail    [propSources]int64
 
 	nextID int
 }
@@ -200,11 +179,11 @@ func (w *propWorld) record(id int) {
 
 // fire builds the callback for event id: record, then maybe do nested work
 // (more schedules, a cancel) using the world's RNG.
-func (w *propWorld) fire(id, lane int) func() {
+func (w *propWorld) fire(id, src int) func() {
 	return func() {
 		w.record(id)
-		if lane >= 0 {
-			w.lanePending[lane]--
+		if src >= 0 {
+			w.srcPending[src]--
 		}
 		// Nested scheduling: follow-ups with mean < 1 so cascades stay
 		// finite (the outer loop keeps seeding new work anyway).
@@ -225,7 +204,7 @@ func (w *propWorld) fire(id, lane int) func() {
 }
 
 // scheduleOne issues one random scheduling op. nested marks calls made
-// from inside a callback (they skip batches to keep recursion shallow).
+// from inside a callback (they skip bursts to keep recursion shallow).
 func (w *propWorld) scheduleOne(nested bool) {
 	id := w.nextID
 	w.nextID++
@@ -236,73 +215,70 @@ func (w *propWorld) scheduleOne(nested bool) {
 		c, a := w.s.at(now+d, w.fire(id, -1))
 		w.cancels = append(w.cancels, c)
 		w.actives = append(w.actives, a)
-	case k < 7: // lane post
-		lane := int(w.rng.Int63n(propLanes))
+	case k < 7: // per-source chain post
+		src := int(w.rng.Int63n(propSources))
 		t := now + w.rng.Int63n(40)
-		if w.lanePending[lane] > 0 && t < w.laneTail[lane] {
-			t = w.laneTail[lane]
+		if w.srcPending[src] > 0 && t < w.srcTail[src] {
+			t = w.srcTail[src]
 		}
-		w.s.lanePost(lane, t, w.fire(id, lane))
-		w.lanePending[lane]++
-		w.laneTail[lane] = t
+		w.s.at(t, w.fire(id, src))
+		w.srcPending[src]++
+		w.srcTail[src] = t
 	case k < 8: // far future: overflow heap, multi-tier cascades
 		d := 1 + w.rng.Int63n(int64(2)<<wheelBits)
 		c, a := w.s.at(now+d, w.fire(id, -1))
 		w.cancels = append(w.cancels, c)
 		w.actives = append(w.actives, a)
-	case k < 9 && !nested: // batch of 2–4 with non-decreasing times
+	case k < 9 && !nested: // burst of 2–4 with non-decreasing times
 		n := 2 + int(w.rng.Int63n(3))
-		at := make([]int64, n)
-		fns := make([]func(), n)
 		t := now + w.rng.Int63n(30)
 		for i := 0; i < n; i++ {
-			at[i] = t
-			fns[i] = w.fire(w.nextID-1+i, -1)
+			w.s.at(t, w.fire(w.nextID-1+i, -1))
 			t += w.rng.Int63n(3) // repeats exercise the same-bucket append
 		}
 		w.nextID += n - 1
-		w.s.batch(at, fns)
-	case k < 10: // the cached-winner-in-high-tier-bucket hazard: park a
-		// far-future lane event (peeking a lane head does not advance the
-		// wheel cursor), populate the winner cache via next(), then insert
-		// descending times. When that lane head was the global minimum,
-		// each insert beats the cached winner while resident in a tier >= 1
-		// bucket and fires straight from there — Step must not trust the
-		// (append-ordered) bucket list for the next minimum. Decrements
-		// also exceed a tier-1 slot (256µs) across the group, so the
-		// inserts land both in one bucket and across bucket boundaries.
-		lane := int(w.rng.Int63n(propLanes))
-		lt := now + 1200 + w.rng.Int63n(4000)
-		if w.lanePending[lane] > 0 && lt < w.laneTail[lane] {
-			lt = w.laneTail[lane]
-		}
-		w.s.lanePost(lane, lt, w.fire(id, lane))
-		w.lanePending[lane]++
-		w.laneTail[lane] = lt
-		nt := w.s.next()
-		w.trace = append(w.trace, fmt.Sprintf("next@%d=%d", now, nt))
-		d := 700 + w.rng.Int63n(400)
-		if gap := nt - now; gap > 1200 && gap < int64(1)<<wheelBits {
-			// The queue head is far out: start just below it so every
-			// descending insert beats the cached winner.
-			d = gap - 1 - w.rng.Int63n(100)
-		}
-		for i := 0; ; i++ {
-			id = w.nextID
-			w.nextID++
-			c, a := w.s.at(now+d, w.fire(id, -1))
-			w.cancels = append(w.cancels, c)
-			w.actives = append(w.actives, a)
-			if i == 2 {
-				break
-			}
-			d -= 100 + w.rng.Int63n(120)
-		}
+	case k < 10:
+		w.probeCachedWinner(id)
 	default: // mid-range At, lands in a higher wheel tier
 		d := 100 + w.rng.Int63n(100_000)
 		c, a := w.s.at(now+d, w.fire(id, -1))
 		w.cancels = append(w.cancels, c)
 		w.actives = append(w.actives, a)
+	}
+}
+
+// probeCachedWinner drives the cached-winner-in-high-tier-bucket hazard:
+// park event id beyond the wheel span (peeking the overflow heap does not
+// advance the wheel cursor), populate the winner cache via next(), then
+// insert descending times. When the parked event is the global minimum,
+// each insert beats the cached winner while resident in a tier >= 1
+// bucket and fires straight from there — Step must not trust the
+// (append-ordered) bucket list for the next minimum. Decrements also
+// exceed a tier-1 slot (256µs) across the group, so the inserts land both
+// in one bucket and across bucket boundaries.
+func (w *propWorld) probeCachedWinner(id int) {
+	now := w.s.now()
+	c, a := w.s.at(now+1<<wheelBits+1200+w.rng.Int63n(4000), w.fire(id, -1))
+	w.cancels = append(w.cancels, c)
+	w.actives = append(w.actives, a)
+	nt := w.s.next()
+	w.trace = append(w.trace, fmt.Sprintf("next@%d=%d", now, nt))
+	d := 700 + w.rng.Int63n(400)
+	if gap := nt - now; gap > 1200 && gap < int64(1)<<wheelBits {
+		// The queue head is far out: start just below it so every
+		// descending insert beats the cached winner.
+		d = gap - 1 - w.rng.Int63n(100)
+	}
+	for i := 0; ; i++ {
+		id = w.nextID
+		w.nextID++
+		c, a := w.s.at(now+d, w.fire(id, -1))
+		w.cancels = append(w.cancels, c)
+		w.actives = append(w.actives, a)
+		if i == 2 {
+			break
+		}
+		d -= 100 + w.rng.Int63n(120)
 	}
 }
 
@@ -323,9 +299,17 @@ func (w *propWorld) cancelOne() {
 }
 
 // run executes the program: interleaved scheduling and stepping, then a
-// full drain.
+// full drain. Every 500 steps it also fires everything within the wheel
+// span, leaving only overflow residents, and probes the cached winner
+// against that empty wheel: the one state in which the hazard is reached.
 func (w *propWorld) run(steps int) {
 	for i := 0; i < steps; i++ {
+		if i%500 == 499 {
+			for w.s.next()-w.s.now() < 1<<wheelBits && w.s.step() {
+			}
+			w.probeCachedWinner(w.nextID)
+			w.nextID++
+		}
 		for w.rng.Int63n(2) == 0 {
 			w.scheduleOne(false)
 		}
@@ -347,12 +331,7 @@ func TestEngineMatchesGlobalHeapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			e := NewEngine()
-			ns := &newSched{e: e}
-			for i := 0; i < propLanes; i++ {
-				ns.lanes = append(ns.lanes, e.NewLane())
-			}
-			wNew := &propWorld{s: ns, rng: NewRand(seed)}
+			wNew := &propWorld{s: &newSched{e: NewEngine()}, rng: NewRand(seed)}
 			wRef := &propWorld{s: &refSched{e: &refEngine{}}, rng: NewRand(seed)}
 
 			wNew.run(4000)

@@ -22,11 +22,11 @@ package sim
 // sequence order and the tier-0 bucket head is the true wheel minimum.
 //
 // Buckets track a stale-low minimum (never raised by cancellation) used as
-// a conservative merge candidate for tiers >= 1: the merge never fires on a
-// stale key, it advances the cursor there and re-derives an exact winner.
-// Events beyond the wheel span — and events scheduled behind the cursor
-// after a speculative peek advanced it past Now — live in the overflow
-// heap, which participates in the merge by exact compare and drains back
+// a conservative candidate for tiers >= 1: peek never fires on a stale key,
+// it advances the cursor there and re-derives an exact winner. Events
+// beyond the wheel span — and events scheduled behind the cursor after a
+// speculative peek advanced it past Now — live in the overflow heap, which
+// peek compares exactly against the wheel's minimum and which drains back
 // into the wheel when the cursor crosses a span boundary.
 
 import "math/bits"
@@ -39,52 +39,30 @@ const (
 	wheelBits = tierBits * numTiers
 )
 
-// evList is one intrusive doubly-linked event list: a wheel bucket
-// (tier >= 0) or the body of a per-source Lane (tier < 0).
+// evList is one wheel bucket: an intrusive doubly-linked event list.
 type evList struct {
 	head, tail *event
-	min        Time  // stale-low bound on members' when (wheel tiers >= 1)
-	tier, slot int32 // wheel coordinates; tier < 0 for a lane
-	lane       *Lane // owning lane when tier < 0
-}
-
-// unlink removes ev from l in O(1). The detached event's own link fields
-// are left stale; retire is the single point that clears them.
-//
-//lrp:hotpath
-func (l *evList) unlink(ev *event) {
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		l.head = ev.next
-	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
-	} else {
-		l.tail = ev.prev
-	}
+	min        Time  // stale-low bound on members' when (tiers >= 1)
+	tier, slot int32 // wheel coordinates
 }
 
 // place files ev into the wheel bucket its deadline selects relative to the
 // cursor, or pushes it on the overflow heap when it lies beyond the wheel
-// span (or behind the cursor). It returns the bucket, or nil for overflow,
-// so PostBatch can append follow-on same-instant events directly.
+// span (or behind the cursor).
 //
 //lrp:hotpath
-func (e *Engine) place(ev *event) *evList {
+func (e *Engine) place(ev *event) {
 	w := ev.when
 	x := uint64(w ^ e.wpos)
 	if w < e.wpos || x>>wheelBits != 0 {
 		e.overflow.push(ev)
-		return nil
+		return
 	}
 	t := 0
 	if x != 0 {
 		t = (bits.Len64(x) - 1) / tierBits
 	}
-	l := &e.tiers[t][(w>>(tierBits*uint(t)))&slotMask]
-	e.bucketAppend(l, ev)
-	return l
+	e.bucketAppend(&e.tiers[t][(w>>(tierBits*uint(t)))&slotMask], ev)
 }
 
 // bucketAppend links ev at the tail of wheel bucket l, maintaining the
@@ -107,6 +85,29 @@ func (e *Engine) bucketAppend(l *evList, ev *event) {
 	ev.list = l
 	e.tierCount[l.tier]++
 	e.tierMask |= 1 << uint(l.tier)
+}
+
+// bucketRemove unlinks ev from its wheel bucket in O(1), maintaining the
+// occupancy bit and the per-tier census. The detached event's own link
+// fields are left stale; retire is the single point that clears them.
+//
+//lrp:hotpath
+func (e *Engine) bucketRemove(ev *event) {
+	l := ev.list
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		l.head = ev.next
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	} else {
+		l.tail = ev.prev
+	}
+	e.tierDec(l.tier)
+	if l.head == nil {
+		e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
+	}
 }
 
 // lowestSlot returns the index of the earliest occupied bucket of tier t,
@@ -185,12 +186,12 @@ func (e *Engine) advance(to Time) {
 	}
 }
 
-// peek returns the earliest pending event, or nil. It merges the exact
-// candidates — earliest lane head, tier-0 bucket head, overflow root — by
-// (when, seq); when the earliest wheel material sits in a tier >= 1 bucket
-// it uses the bucket's stale-low minimum as a conservative key and, if that
-// key is not strictly beaten by an exact candidate, advances the cursor to
-// it (cascading the bucket toward tier 0) and re-merges. The loop
+// peek returns the earliest pending event, or nil. It compares the exact
+// candidates — tier-0 bucket head, overflow root — by (when, seq); when
+// the earliest wheel material sits in a tier >= 1 bucket it uses the
+// bucket's stale-low minimum as a conservative key and, if that key is not
+// strictly beaten by the overflow root, advances the cursor to it
+// (cascading the bucket toward tier 0) and compares again. The loop
 // terminates because every cascade moves the occupied bucket's members to
 // a strictly lower tier. The winner is cached until an earlier insert, a
 // cancellation of the winner, or a fire invalidates it.
@@ -201,10 +202,7 @@ func (e *Engine) peek() *event {
 		return e.peeked
 	}
 	for {
-		best := e.laneRoot()
-		if r := e.overflow.root(); r != nil && (best == nil || less(r, best)) {
-			best = r
-		}
+		best := e.overflow.root()
 		if e.tierMask == 0 {
 			e.peeked = best
 			return best
