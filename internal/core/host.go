@@ -19,18 +19,14 @@ import (
 
 // Config parameterizes host construction.
 type Config struct {
-	Name      string
-	Addr      pkt.Addr
-	Arch      Arch
-	Costs     *CostModel // nil: DefaultCosts
-	LinkBps   int64      // link bandwidth, bits/s (default 155 Mbit/s)
-	PropDelay int64      // one-way propagation delay, µs (default 10)
-	MTU       int        // default 9180 (IP over ATM)
+	Name  string
+	Addr  pkt.Addr
+	Arch  Arch
+	Costs *CostModel // nil: DefaultCosts
+	MTU   int        // default 9180 (IP over ATM)
 	// NoIdleThread disables LRP's idle-time protocol processing thread
 	// (an ablation knob; the paper argues the thread preserves latency).
 	NoIdleThread bool
-	// NoICMPDaemon disables the ICMP proxy daemon on LRP hosts.
-	NoICMPDaemon bool
 	// FilterDemux replaces the hand-coded demultiplexing function with an
 	// interpreted packet-filter scan (SOFT-LRP/Early-Demux only): the
 	// user-level-network-subsystem configuration of the related work,
@@ -42,14 +38,11 @@ type Config struct {
 	CPUs int
 	// RxQueues is the number of NIC receive queues (0 or 1: one ring).
 	// With more, a deterministic RSS hash over a packet's addresses and
-	// ports steers each flow to one queue, and each queue interrupts
-	// its assigned CPU. NI-LRP has no raw rx rings; there a value above
-	// one instead routes each NI channel's wakeup interrupt to the
-	// owning process's CPU. ArchPolling is single-queue only.
+	// ports steers each flow to one queue, and queue q interrupts CPU
+	// q mod CPUs. NI-LRP has no raw rx rings; there a value above one
+	// instead routes each NI channel's wakeup interrupt to the owning
+	// process's CPU. ArchPolling is single-queue only.
 	RxQueues int
-	// QueueCPU maps rx queue index -> CPU index. A nil slice (or any
-	// queue beyond its length) defaults to queue i -> CPU i mod CPUs.
-	QueueCPU []int
 }
 
 // Stats aggregates host-level drop and delivery accounting, by location —
@@ -100,7 +93,6 @@ type Host struct {
 
 	// Multi-queue receive state (nil/false on a single-queue host).
 	multiQueue    bool          // per-flow rx steering is on
-	queueCPU      []int         // rx queue -> CPU index
 	ipqs          []*mbuf.Queue // per-CPU IP queues (BSD multi-queue); [0] == ipq
 	bsdSoftintFns []func()      // per-CPU softint bodies, built once
 	qStep         []func()      // per-queue driver-step closures, built once
@@ -168,12 +160,6 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 	if cm == nil {
 		cm = DefaultCosts()
 	}
-	if cfg.LinkBps == 0 {
-		cfg.LinkBps = 155_000_000
-	}
-	if cfg.PropDelay == 0 {
-		cfg.PropDelay = 10
-	}
 	if cfg.MTU == 0 {
 		cfg.MTU = ipv4.DefaultMTU
 	}
@@ -239,7 +225,7 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		NICInputLimit: cm.NICInputLimit,
 		RxQueues:      nq,
 	})
-	nw.Attach(h.NIC, cfg.Addr, cfg.LinkBps, cfg.PropDelay)
+	nw.Attach(h.NIC, cfg.Addr, 155_000_000, 10) // 155 Mbit/s ATM link, 10 µs one-way
 
 	if cfg.FilterDemux {
 		h.filterDemux = demux.NewFilterTable[*socket.Socket]()
@@ -248,13 +234,13 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 	switch cfg.Arch {
 	case ArchBSD:
 		if nq > 1 {
-			h.wireQueueRx(cfg.QueueCPU)
+			h.wireQueueRx()
 		} else {
 			h.NIC.OnHostIntr = h.bsdHostIntr
 		}
 	case ArchSoftLRP, ArchEarlyDemux:
 		if nq > 1 {
-			h.wireQueueRx(cfg.QueueCPU)
+			h.wireQueueRx()
 		} else {
 			h.NIC.OnHostIntr = h.demuxHostIntr
 		}
@@ -277,9 +263,7 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 			h.idleProc.FixedPrio = kernel.PrioMax
 			h.idleProc.Pinned = true
 		}
-		if !cfg.NoICMPDaemon {
-			h.startICMPDaemon()
-		}
+		h.startICMPDaemon()
 	} else {
 		h.initTCPHooks()
 	}
@@ -288,19 +272,11 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 
 // wireQueueRx installs the multi-queue receive path: one pre-built
 // interrupt/driver-step closure pair per rx queue, each posting its
-// work to the queue's assigned CPU. BSD additionally gets one IP queue
+// work to CPU q mod CPUs. BSD additionally gets one IP queue
 // and softint body per CPU (a per-CPU softnet queue), so protocol
 // processing stays on the CPU that took the interrupt.
-func (h *Host) wireQueueRx(queueCPU []int) {
+func (h *Host) wireQueueRx() {
 	nq := h.NIC.NumRxQueues()
-	h.queueCPU = make([]int, nq)
-	for q := range h.queueCPU {
-		ci := q % len(h.CPUs)
-		if q < len(queueCPU) && queueCPU[q] >= 0 && queueCPU[q] < len(h.CPUs) {
-			ci = queueCPU[q]
-		}
-		h.queueCPU[q] = ci
-	}
 	if h.Arch == ArchBSD {
 		h.ipqs = make([]*mbuf.Queue, len(h.CPUs))
 		h.bsdSoftintFns = make([]func(), len(h.CPUs))
@@ -322,7 +298,7 @@ func (h *Host) wireQueueRx(queueCPU []int) {
 	h.qIntr = make([]func(), nq)
 	for q := 0; q < nq; q++ {
 		q := q
-		ci := h.queueCPU[q]
+		ci := q % len(h.CPUs)
 		k := h.CPUs[ci]
 		switch h.Arch {
 		case ArchBSD:

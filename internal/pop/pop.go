@@ -78,11 +78,9 @@ type Config struct {
 	SizeAlpha float64
 
 	// ChurnPerSec > 0 enables connection churn: at exponentially spaced
-	// events, ChurnBlock clients join or leave, with the active count
-	// reflected into [MinActiveFrac*Clients, Clients] (default frac 0.5).
-	ChurnPerSec   float64
-	ChurnBlock    int
-	MinActiveFrac float64
+	// events, max(1, Clients/10) clients join or leave, with the active
+	// count reflected into [max(1, Clients/2), Clients].
+	ChurnPerSec float64
 
 	// ClientBase offsets this population's client identities so
 	// populations on different attach points do not share addresses.
@@ -108,20 +106,11 @@ func (c Config) withDefaults() Config {
 	if c.SizeAlpha <= 0 {
 		c.SizeAlpha = 1.3
 	}
-	if c.MinActiveFrac <= 0 || c.MinActiveFrac > 1 {
-		c.MinActiveFrac = 0.5
-	}
 	if c.CalmMeanUs <= 0 {
 		c.CalmMeanUs = 500 * sim.Millisecond
 	}
 	if c.FlashMeanUs <= 0 {
 		c.FlashMeanUs = 100 * sim.Millisecond
-	}
-	if c.ChurnBlock <= 0 {
-		c.ChurnBlock = c.Clients / 10
-		if c.ChurnBlock < 1 {
-			c.ChurnBlock = 1
-		}
 	}
 	if c.TTL == 0 {
 		c.TTL = 64
@@ -221,16 +210,12 @@ func (g *Population) Start() {
 					tMod += mod.ExpDuration(mean)
 				}
 				for tChurn <= now {
-					delta := cfg.ChurnBlock
+					delta := max(1, cfg.Clients/10)
 					if chn.Float64() < 0.5 {
 						delta = -delta
 					}
 					active += delta
-					lo := int(cfg.MinActiveFrac * float64(cfg.Clients))
-					if lo < 1 {
-						lo = 1
-					}
-					if active < lo {
+					if lo := max(1, cfg.Clients/2); active < lo {
 						active = lo
 					}
 					if active > cfg.Clients {

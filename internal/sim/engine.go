@@ -14,10 +14,9 @@
 //     expire;
 //   - an overflow 4-ary heap holds the rare event beyond the wheel's span
 //     and cascades back into the wheel as the cursor advances;
-//   - peek picks the global minimum of the wheel and the overflow heap by
-//     exact (when, seq) compare, preserving the engine's total order
-//     bit-for-bit, and caches it until an insert, a cancel or a fire
-//     invalidates it.
+//   - peek works out the global minimum of the wheel and the overflow heap
+//     afresh on every call by exact (when, seq) compare, preserving the
+//     engine's total order bit-for-bit; nothing is cached between calls.
 //
 // All higher layers of the LRP reproduction — the simulated kernel, NICs,
 // links, protocols and applications — advance time exclusively through this
@@ -112,11 +111,6 @@ type Engine struct {
 	tierMask  uint8                            // bit t set iff tierCount[t] > 0
 	overflow  eventHeap                        // beyond wheel span, or behind the cursor
 
-	// peeked caches the winner of the last merge; nil means unknown. It is
-	// invalidated by firing, by cancelling the cached event, and by any
-	// insert that orders before it.
-	peeked *event
-
 	live    int // pending events across all structures
 	stopped bool
 
@@ -178,10 +172,6 @@ func (e *Engine) At(t Time, fn func()) Event {
 	ev := e.alloc(t, fn)
 	e.place(ev)
 	e.live++
-	if p := e.peeked; p != nil && t < p.when {
-		// The new event beats the cached winner, so it beats everything.
-		e.peeked = ev
-	}
 	return Event{e: ev, gen: ev.gen, when: t}
 }
 
@@ -209,9 +199,6 @@ func (e *Engine) Cancel(ev Event) {
 		return
 	}
 	x := ev.e
-	if e.peeked == x {
-		e.peeked = nil
-	}
 	if x.idx >= 0 {
 		e.overflow.remove(x.idx)
 	} else {
@@ -241,70 +228,7 @@ func (e *Engine) retire(ev *event) {
 // returns false if the queue is empty or the engine has been stopped.
 //
 //lrp:hotpath
-func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
-	ev := e.peek()
-	if ev == nil {
-		return false
-	}
-	if hint := e.unscheduleHead(ev); hint != nil {
-		// The fired event's tier-0 bucket still has members (same instant,
-		// next seq): the next winner is a 2-way compare, no scan needed.
-		if r := e.overflow.root(); r != nil && less(r, hint) {
-			hint = r
-		}
-		e.peeked = hint
-	} else {
-		e.peeked = nil
-	}
-	e.now = ev.when
-	if ev.when > e.wpos {
-		e.advance(ev.when)
-	}
-	fn := ev.fn
-	e.retire(ev)
-	e.live--
-	e.processed++
-	fn()
-	return true
-}
-
-// tierDec decrements a tier's census, clearing its occupancy bit in the
-// tier mask on the last resident.
-//
-//lrp:hotpath
-func (e *Engine) tierDec(t int32) {
-	e.tierCount[t]--
-	if e.tierCount[t] == 0 {
-		e.tierMask &^= 1 << uint(t)
-	}
-}
-
-// unscheduleHead detaches the merge winner from whichever structure holds
-// it. The winner is the overflow-heap root or a wheel-bucket member — a
-// tier-0 head when peek derived it, but possibly a tier >= 1 resident when
-// At cached a fresh insert that beat the previous winner. Only a surviving
-// tier-0 bucket yields a hint: its members all share one instant and
-// append in seq order, so the new head is still the exact wheel minimum.
-// Tier >= 1 bucket lists are append-ordered, not time-ordered, so firing
-// out of one must return nil and let the next peek re-derive the minimum
-// through the cascade loop.
-//
-//lrp:hotpath
-func (e *Engine) unscheduleHead(ev *event) (wheelHint *event) {
-	if ev.idx >= 0 {
-		e.overflow.pop()
-		return nil
-	}
-	l := ev.list
-	e.bucketRemove(ev)
-	if l.tier == 0 {
-		return l.head
-	}
-	return nil
-}
+func (e *Engine) Step() bool { return e.stepWithin(MaxTime) }
 
 // Run fires events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
@@ -339,7 +263,22 @@ func (e *Engine) stepWithin(deadline Time) bool {
 	if ev == nil || ev.when > deadline {
 		return false
 	}
-	return e.Step()
+	// The winner is the overflow-heap root or a tier-0 bucket head.
+	if ev.idx >= 0 {
+		e.overflow.pop()
+	} else {
+		e.bucketRemove(ev)
+	}
+	e.now = ev.when
+	if ev.when > e.wpos {
+		e.advance(ev.when)
+	}
+	fn := ev.fn
+	e.retire(ev)
+	e.live--
+	e.processed++
+	fn()
+	return true
 }
 
 // RunFor advances the simulation by d microseconds from the current time.

@@ -178,14 +178,13 @@ func TestEngineNextEventTime(t *testing.T) {
 	}
 }
 
-// Regression: a cached winner living in a tier >= 1 wheel bucket must not
-// be followed by that bucket's (append-ordered) list head. The sequence
-// below parks an event beyond the wheel span, in the overflow heap, so
-// NextEventTime caches it without moving the wheel cursor. It then inserts
-// descending times that each become the cached winner and land in one
-// tier-1 bucket in list order 950, 920, 900; firing 900 out of it must
-// re-derive the minimum (920), not trust the list head (950).
-func TestEngineCachedWinnerInHighTierBucket(t *testing.T) {
+// Descending inserts into one tier-1 bucket, under an overflow-resident
+// head, fire in time order. The sequence below parks an event beyond the
+// wheel span, in the overflow heap, and peeks it without moving the wheel
+// cursor. It then inserts 950, 920 and 900, which land in one tier-1
+// bucket in that (append) list order; the bucket list is not time-ordered,
+// so the engine must cascade it to tier 0 rather than fire its list head.
+func TestEngineHighTierBucketFiresInOrder(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }

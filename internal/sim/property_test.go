@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// This file checks the scheduler (timer wheel + overflow heap + peek cache)
+// This file checks the scheduler (timer wheel + overflow heap)
 // against a reference engine that reproduces the old implementation: one
 // global priority heap ordered by (when, seq). The same seeded randomized
 // program — schedules, same-instant bursts, monotone per-source chains,
@@ -99,9 +99,9 @@ func (r *refEngine) step() bool {
 
 // propSched is the common surface the randomized program drives; one
 // adapter wraps the real engine, the other the reference. next is
-// NextEventTime: on the real engine it populates the peek cache (and may
-// advance the wheel cursor), so interleaving it with later inserts
-// exercises the cached-winner fast paths.
+// NextEventTime: on the real engine it may advance the wheel cursor past
+// Now, so interleaving it with later inserts exercises placement behind
+// and around a speculatively moved cursor.
 type propSched interface {
 	now() int64
 	next() int64
@@ -247,15 +247,15 @@ func (w *propWorld) scheduleOne(nested bool) {
 	}
 }
 
-// probeCachedWinner drives the cached-winner-in-high-tier-bucket hazard:
-// park event id beyond the wheel span (peeking the overflow heap does not
-// advance the wheel cursor), populate the winner cache via next(), then
-// insert descending times. When the parked event is the global minimum,
-// each insert beats the cached winner while resident in a tier >= 1
-// bucket and fires straight from there — Step must not trust the
-// (append-ordered) bucket list for the next minimum. Decrements also
-// exceed a tier-1 slot (256µs) across the group, so the inserts land both
-// in one bucket and across bucket boundaries.
+// probeCachedWinner drives descending inserts into tier >= 1 buckets
+// under an overflow-resident head: park event id beyond the wheel span
+// (peeking the overflow heap does not advance the wheel cursor), peek via
+// next(), then insert descending times. When the parked event is the
+// global minimum, each insert becomes the new minimum while resident in a
+// tier >= 1 bucket whose list is append-ordered, not time-ordered, so the
+// engine must cascade those buckets rather than fire from their list
+// heads. Decrements also exceed a tier-1 slot (256µs) across the group,
+// so the inserts land both in one bucket and across bucket boundaries.
 func (w *propWorld) probeCachedWinner(id int) {
 	now := w.s.now()
 	c, a := w.s.at(now+1<<wheelBits+1200+w.rng.Int63n(4000), w.fire(id, -1))
@@ -266,7 +266,7 @@ func (w *propWorld) probeCachedWinner(id int) {
 	d := 700 + w.rng.Int63n(400)
 	if gap := nt - now; gap > 1200 && gap < int64(1)<<wheelBits {
 		// The queue head is far out: start just below it so every
-		// descending insert beats the cached winner.
+		// descending insert becomes the new minimum.
 		d = gap - 1 - w.rng.Int63n(100)
 	}
 	for i := 0; ; i++ {
@@ -300,8 +300,9 @@ func (w *propWorld) cancelOne() {
 
 // run executes the program: interleaved scheduling and stepping, then a
 // full drain. Every 500 steps it also fires everything within the wheel
-// span, leaving only overflow residents, and probes the cached winner
-// against that empty wheel: the one state in which the hazard is reached.
+// span, leaving only overflow residents, and runs probeCachedWinner
+// against that empty wheel: the state in which every descending insert
+// becomes the minimum from inside a tier >= 1 bucket.
 func (w *propWorld) run(steps int) {
 	for i := 0; i < steps; i++ {
 		if i%500 == 499 {
@@ -327,29 +328,49 @@ func (w *propWorld) run(steps int) {
 	}
 }
 
+// matchReference runs the program for seed, steps long, against the
+// engine and the reference heap, fails t at the first trace divergence, and
+// returns the trace length.
+func matchReference(t *testing.T, seed uint64, steps int) int {
+	t.Helper()
+	wNew := &propWorld{s: &newSched{e: NewEngine()}, rng: NewRand(seed)}
+	wRef := &propWorld{s: &refSched{e: &refEngine{}}, rng: NewRand(seed)}
+
+	wNew.run(steps)
+	wRef.run(steps)
+
+	for i := 0; i < len(wNew.trace) && i < len(wRef.trace); i++ {
+		if wNew.trace[i] != wRef.trace[i] {
+			t.Fatalf("trace diverges at %d:\n  engine:    %s\n  reference: %s",
+				i, wNew.trace[i], wRef.trace[i])
+		}
+	}
+	if len(wNew.trace) != len(wRef.trace) {
+		t.Fatalf("trace lengths differ: engine %d vs reference %d",
+			len(wNew.trace), len(wRef.trace))
+	}
+	return len(wNew.trace)
+}
+
 func TestEngineMatchesGlobalHeapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wNew := &propWorld{s: &newSched{e: NewEngine()}, rng: NewRand(seed)}
-			wRef := &propWorld{s: &refSched{e: &refEngine{}}, rng: NewRand(seed)}
-
-			wNew.run(4000)
-			wRef.run(4000)
-
-			if len(wNew.trace) < 4000 {
-				t.Fatalf("workload too small to mean anything: %d trace entries", len(wNew.trace))
-			}
-			if len(wNew.trace) != len(wRef.trace) {
-				t.Fatalf("trace lengths differ: engine %d vs reference %d",
-					len(wNew.trace), len(wRef.trace))
-			}
-			for i := range wNew.trace {
-				if wNew.trace[i] != wRef.trace[i] {
-					t.Fatalf("trace diverges at %d:\n  engine:    %s\n  reference: %s",
-						i, wNew.trace[i], wRef.trace[i])
-				}
+			if n := matchReference(t, seed, 4000); n < 4000 {
+				t.Fatalf("workload too small to mean anything: %d trace entries", n)
 			}
 		})
 	}
+}
+
+// FuzzEngineMatchesGlobalHeapReference explores program seeds beyond the
+// six the test pins, with a shorter program that still reaches one
+// periodic drain-and-probe.
+func FuzzEngineMatchesGlobalHeapReference(f *testing.F) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		matchReference(t, seed, 500)
+	})
 }

@@ -21,13 +21,15 @@ package sim
 // prefix can occur, so every bucket holds its same-deadline members in
 // sequence order and the tier-0 bucket head is the true wheel minimum.
 //
-// Buckets track a stale-low minimum (never raised by cancellation) used as
-// a conservative candidate for tiers >= 1: peek never fires on a stale key,
-// it advances the cursor there and re-derives an exact winner. Events
-// beyond the wheel span — and events scheduled behind the cursor after a
-// speculative peek advanced it past Now — live in the overflow heap, which
-// peek compares exactly against the wheel's minimum and which drains back
-// into the wheel when the cursor crosses a span boundary.
+// Buckets are plain append-ordered lists. For tiers >= 1, peek keys the
+// earliest occupied bucket on its start time, a lower bound on its members
+// that lies strictly above the cursor: peek never fires on that key, it
+// advances the cursor there (cascading the bucket one tier down) and
+// re-derives an exact winner. Events beyond the wheel span — and events
+// scheduled behind the cursor after a speculative peek advanced it past
+// Now — live in the overflow heap, which peek compares exactly against the
+// wheel's minimum and which drains back into the wheel when the cursor
+// crosses a span boundary.
 
 import "math/bits"
 
@@ -42,7 +44,6 @@ const (
 // evList is one wheel bucket: an intrusive doubly-linked event list.
 type evList struct {
 	head, tail *event
-	min        Time  // stale-low bound on members' when (tiers >= 1)
 	tier, slot int32 // wheel coordinates
 }
 
@@ -66,21 +67,17 @@ func (e *Engine) place(ev *event) {
 }
 
 // bucketAppend links ev at the tail of wheel bucket l, maintaining the
-// occupancy bit, the per-tier census and the bucket's stale-low minimum.
+// occupancy bit and the per-tier census.
 //
 //lrp:hotpath
 func (e *Engine) bucketAppend(l *evList, ev *event) {
 	if l.head == nil {
 		l.head, l.tail = ev, ev
-		l.min = ev.when
 		e.bitmap[l.tier][l.slot>>6] |= 1 << uint(l.slot&63)
 	} else {
 		ev.prev = l.tail
 		l.tail.next = ev
 		l.tail = ev
-		if ev.when < l.min {
-			l.min = ev.when
-		}
 	}
 	ev.list = l
 	e.tierCount[l.tier]++
@@ -107,6 +104,17 @@ func (e *Engine) bucketRemove(ev *event) {
 	e.tierDec(l.tier)
 	if l.head == nil {
 		e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
+	}
+}
+
+// tierDec decrements a tier's census, clearing its occupancy bit in the
+// tier mask on the last resident.
+//
+//lrp:hotpath
+func (e *Engine) tierDec(t int32) {
+	e.tierCount[t]--
+	if e.tierCount[t] == 0 {
+		e.tierMask &^= 1 << uint(t)
 	}
 }
 
@@ -186,53 +194,36 @@ func (e *Engine) advance(to Time) {
 	}
 }
 
-// peek returns the earliest pending event, or nil. It compares the exact
-// candidates — tier-0 bucket head, overflow root — by (when, seq); when
-// the earliest wheel material sits in a tier >= 1 bucket it uses the
-// bucket's stale-low minimum as a conservative key and, if that key is not
-// strictly beaten by the overflow root, advances the cursor to it
-// (cascading the bucket toward tier 0) and compares again. The loop
-// terminates because every cascade moves the occupied bucket's members to
-// a strictly lower tier. The winner is cached until an earlier insert, a
-// cancellation of the winner, or a fire invalidates it.
+// peek returns the earliest pending event, or nil. It works the winner
+// out afresh on every call. It compares the exact candidates — tier-0
+// bucket head, overflow root — by (when, seq); when the earliest wheel
+// material sits in a tier >= 1 bucket it keys on the bucket's start time,
+// which lies strictly above the cursor and no later than any member. If
+// the overflow root is not strictly earlier than that key, peek advances
+// the cursor there (cascading the bucket into a lower tier) and compares
+// again. The loop terminates because every cascade moves the occupied
+// bucket's members to a strictly lower tier.
 //
 //lrp:hotpath
 func (e *Engine) peek() *event {
-	if e.peeked != nil {
-		return e.peeked
-	}
 	for {
 		best := e.overflow.root()
 		if e.tierMask == 0 {
-			e.peeked = best
 			return best
 		}
 		t := bits.TrailingZeros8(e.tierMask)
-		l := &e.tiers[t][e.lowestSlot(t)]
+		s := e.lowestSlot(t)
 		if t == 0 {
-			if h := l.head; best == nil || less(h, best) {
+			if h := e.tiers[0][s].head; best == nil || less(h, best) {
 				best = h
 			}
-			e.peeked = best
 			return best
 		}
-		m := l.min
-		if m <= e.wpos {
-			// The bucket minimum went stale below the cursor (its event was
-			// cancelled and the cursor moved past it). Recompute the true
-			// minimum — strictly above the cursor — so advance progresses.
-			m = l.head.when
-			for x := l.head.next; x != nil; x = x.next {
-				if x.when < m {
-					m = x.when
-				}
-			}
-			l.min = m
-		}
-		if best != nil && best.when < m {
-			e.peeked = best
+		sh := tierBits * uint(t)
+		start := e.wpos>>(sh+tierBits)<<(sh+tierBits) | Time(s)<<sh
+		if best != nil && best.when < start {
 			return best
 		}
-		e.advance(m)
+		e.advance(start)
 	}
 }
