@@ -36,12 +36,13 @@ type Config struct {
 	// exactly the pre-SMP host). CPU 0 is the boot CPU (Host.K); the
 	// network daemon processes are pinned there.
 	CPUs int
-	// RxQueues is the number of NIC receive queues (0 or 1: one ring).
-	// With more, a deterministic RSS hash over a packet's addresses and
-	// ports steers each flow to one queue, and queue q interrupts CPU
-	// q mod CPUs. NI-LRP has no raw rx rings; there a value above one
-	// instead routes each NI channel's wakeup interrupt to the owning
-	// process's CPU. ArchPolling is single-queue only.
+	// RxQueues is the number of NIC receive queues (0 or 1: one ring,
+	// whose interrupt goes to CPU 0). A deterministic RSS hash over a
+	// packet's addresses and ports steers each flow to one queue, and
+	// queue q interrupts CPU q mod CPUs; every raw-ring architecture runs
+	// this one per-queue driver. NI-LRP has no raw rx rings; there a
+	// value above one instead routes each NI channel's wakeup interrupt
+	// to the owning process's CPU. ArchPolling is clamped to one queue.
 	RxQueues int
 }
 
@@ -89,11 +90,9 @@ type Host struct {
 	filterDemux *demux.FilterTable[*socket.Socket]
 	filterProgs map[*socket.Socket]int // socket -> entry handle
 
-	ipq *mbuf.Queue // BSD shared IP queue
-
-	// Multi-queue receive state (nil/false on a single-queue host).
+	// Receive-queue state of the raw-ring architectures (nil on NI-LRP).
 	multiQueue    bool          // per-flow rx steering is on
-	ipqs          []*mbuf.Queue // per-CPU IP queues (BSD multi-queue); [0] == ipq
+	ipqs          []*mbuf.Queue // per-CPU IP queues (BSD, Polling)
 	bsdSoftintFns []func()      // per-CPU softint bodies, built once
 	qStep         []func()      // per-queue driver-step closures, built once
 	qIntr         []func()      // per-queue interrupt entries, built once
@@ -173,7 +172,6 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		Name:      cfg.Name,
 		pcbs:      demux.NewTable[*socket.Socket](),
 		reasm:     ipv4.NewReassembler(),
-		ipq:       mbuf.NewQueue(cm.IPQueueLimit),
 		timers:    make(map[*tcp.Conn]*connTimers),
 		ephemeral: 49152,
 		iss:       1,
@@ -231,24 +229,10 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		h.filterDemux = demux.NewFilterTable[*socket.Socket]()
 		h.filterProgs = make(map[*socket.Socket]int)
 	}
-	switch cfg.Arch {
-	case ArchBSD:
-		if nq > 1 {
-			h.wireQueueRx()
-		} else {
-			h.NIC.OnHostIntr = h.bsdHostIntr
-		}
-	case ArchSoftLRP, ArchEarlyDemux:
-		if nq > 1 {
-			h.wireQueueRx()
-		} else {
-			h.NIC.OnHostIntr = h.demuxHostIntr
-		}
-	case ArchNILRP:
+	if cfg.Arch == ArchNILRP {
 		h.NIC.OnNICProcess = h.niDemuxProcess
-		h.NIC.OnHostIntr = nil // raised explicitly per channel signal
-	case ArchPolling:
-		h.NIC.OnHostIntr = h.pollingHostIntr
+	} else {
+		h.wireQueueRx()
 	}
 
 	if cfg.Arch.IsLRP() {
@@ -270,23 +254,23 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 	return h
 }
 
-// wireQueueRx installs the multi-queue receive path: one pre-built
+// wireQueueRx installs the raw-ring receive path: one pre-built
 // interrupt/driver-step closure pair per rx queue, each posting its
-// work to CPU q mod CPUs. BSD additionally gets one IP queue
+// work to CPU q mod CPUs. BSD and Polling additionally get one IP queue
 // and softint body per CPU (a per-CPU softnet queue), so protocol
 // processing stays on the CPU that took the interrupt.
 func (h *Host) wireQueueRx() {
 	nq := h.NIC.NumRxQueues()
-	if h.Arch == ArchBSD {
+	eager := h.Arch == ArchBSD || h.Arch == ArchPolling
+	if eager {
 		h.ipqs = make([]*mbuf.Queue, len(h.CPUs))
 		h.bsdSoftintFns = make([]func(), len(h.CPUs))
 		for i := range h.ipqs {
-			if i == 0 {
-				h.ipqs[0] = h.ipq
-			} else {
-				h.ipqs[i] = mbuf.NewQueue(h.CM.IPQueueLimit)
-			}
-			ipq := h.ipqs[i]
+			ipq := mbuf.NewQueue(h.CM.IPQueueLimit)
+			h.ipqs[i] = ipq
+			// Eager protocol processing for the head of the IP queue; its
+			// cost was charged by the posted work item, to whatever
+			// process happened to be running (BSD's accounting).
 			h.bsdSoftintFns[i] = func() {
 				if m := ipq.Dequeue(); m != nil {
 					h.protoInput(m, nil)
@@ -300,8 +284,8 @@ func (h *Host) wireQueueRx() {
 		q := q
 		ci := q % len(h.CPUs)
 		k := h.CPUs[ci]
-		switch h.Arch {
-		case ArchBSD:
+		switch {
+		case eager:
 			h.qStep[q] = func() { h.bsdDriverStepQ(q, ci, k) }
 			h.qIntr[q] = func() {
 				k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt, Fn: h.qStep[q]})
@@ -337,9 +321,8 @@ func (h *Host) EnableTrace(capacity int) *trace.Log {
 // counters from the live structures.
 func (h *Host) Stats() Stats {
 	s := h.stats
-	s.IPQDrops = h.ipq.Drops()
-	for i := 1; i < len(h.ipqs); i++ { // per-CPU softnet queues (ipqs[0] == ipq)
-		s.IPQDrops += h.ipqs[i].Drops()
+	for _, q := range h.ipqs {
+		s.IPQDrops += q.Drops()
 	}
 	for _, so := range h.sockets {
 		if so.NIChan != nil {

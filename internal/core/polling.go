@@ -12,48 +12,17 @@ package core
 // processing to the receiving application, and it does not attempt to
 // reduce context switching."
 //
-// The implementation reuses the BSD eager path verbatim; only the
-// interrupt discipline changes. Under overload (receive ring occupancy at
-// or above PollEnterThresh when an interrupt fires), receive interrupts
-// are disabled and a periodic poll admits at most PollBatch packets per
-// PollInterval; arrivals beyond the ring bound die on the adaptor at no
-// host cost. A poll that finds the ring empty re-enables interrupts.
+// The implementation reuses the BSD eager path verbatim: its interrupt is
+// BSD's queue-0 interrupt, and its driver step is bsdDriverStepQ, whose
+// one Polling-specific line is the overload check. Only the interrupt
+// discipline changes. Under overload (IP queue occupancy at or above
+// PollEnterThresh after a driver step), receive interrupts are disabled
+// and a periodic poll admits at most PollBatch packets per PollInterval;
+// arrivals beyond the ring bound die on the adaptor at no host cost. A
+// poll that finds the ring empty re-enables interrupts. Polling is
+// single-queue: NewHost clamps it to one receive queue, on CPU 0.
 
 import "lrp/internal/kernel"
-
-// pollingHostIntr is the interrupt-mode receive path: identical to BSD's,
-// plus the overload transition check.
-func (h *Host) pollingHostIntr() {
-	h.K.PostHW(kernel.WorkItem{
-		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt,
-		Fn:   h.pollingDriverStep,
-	})
-}
-
-func (h *Host) pollingDriverStep() {
-	if m := h.NIC.RxDequeue(); m != nil {
-		swEmpty := h.K.SWPending() == 0
-		if h.ipq.Enqueue(m) {
-			cost := h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty
-			if swEmpty {
-				cost += h.CM.SWDispatchFixed
-			}
-			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftint})
-		}
-	}
-	if h.ipq.Len() >= h.CM.PollEnterThresh {
-		// Overload: protocol processing is falling behind (the shared IP
-		// queue is backing up). Switch to polled mode; interrupts stay
-		// off until a poll finds the ring drained.
-		h.enterPolledMode()
-		return
-	}
-	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.pollingDriverStep})
-	} else {
-		h.NIC.IntrDone()
-	}
-}
 
 // enterPolledMode disables receive interrupts and starts the poll cycle.
 func (h *Host) enterPolledMode() {
@@ -63,7 +32,7 @@ func (h *Host) enterPolledMode() {
 	h.polled = true
 	h.stats.PollTransitions++
 	h.NIC.SetIntrEnabled(false)
-	h.NIC.IntrDone()
+	h.NIC.IntrDone(0)
 	h.Eng.After(h.CM.PollInterval, h.pollPass)
 }
 
@@ -74,8 +43,9 @@ func (h *Host) pollPass() {
 	if !h.polled {
 		return
 	}
-	n := h.NIC.RxPending()
-	if n == 0 && h.ipq.Len() == 0 {
+	ipq := h.ipqs[0]
+	n := h.NIC.RxPending(0)
+	if n == 0 && ipq.Len() == 0 {
 		h.polled = false
 		h.NIC.SetIntrEnabled(true)
 		return
@@ -95,14 +65,14 @@ func (h *Host) pollPass() {
 		Cost: h.CM.SWDispatchFixed + int64(n)*h.CM.DriverPerPkt,
 		Fn: func() {
 			for i := 0; i < n; i++ {
-				m := h.NIC.RxDequeue()
+				m := h.NIC.RxDequeue(0)
 				if m == nil {
 					break
 				}
-				if h.ipq.Enqueue(m) {
+				if ipq.Enqueue(m) {
 					h.K.PostSW(kernel.WorkItem{
 						Cost: h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty,
-						Fn:   h.bsdSoftint,
+						Fn:   h.bsdSoftintFns[0],
 					})
 				}
 			}

@@ -17,61 +17,29 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// 4.4BSD: interrupt handler -> shared IP queue -> software interrupt ->
-// socket queue. Highest priority to capture, second to protocol
-// processing, lowest to the application.
+// The raw-ring drivers (BSD, Polling, SOFT-LRP, Early-Demux) run one
+// driver per receive queue: queue q's interrupt posts to CPU q mod CPUs,
+// and a single-queue host is the case q == 0 on CPU 0. The closures in
+// Host.qStep bind each queue's arguments once at construction, so the
+// per-interrupt path allocates nothing.
 
-// bsdHostIntr fires on a ring empty->nonempty transition.
-func (h *Host) bsdHostIntr() {
-	h.K.PostHW(kernel.WorkItem{
-		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt,
-		Fn:   h.bsdDriverStep,
-	})
-}
+// ---------------------------------------------------------------------------
+// 4.4BSD: interrupt handler -> IP queue -> software interrupt -> socket
+// queue. Highest priority to capture, second to protocol processing,
+// lowest to the application.
 
-// bsdDriverStep handles one packet in the interrupt handler, then chains
-// to the next ring entry (batching: the fixed dispatch cost is paid once
-// per interrupt, the per-packet cost per packet).
-func (h *Host) bsdDriverStep() {
-	if m := h.NIC.RxDequeue(); m != nil {
-		// Queue on the shared IP queue; drop if full — after the driver
-		// has already invested work in the packet.
-		swEmpty := h.K.SWPending() == 0
-		if h.ipq.Enqueue(m) {
-			cost := h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty
-			if swEmpty {
-				cost += h.CM.SWDispatchFixed
-			}
-			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftint})
-		}
-	}
-	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.bsdDriverStep})
-	} else {
-		h.NIC.IntrDone()
-	}
-}
-
-// bsdSoftint performs eager protocol processing for the head of the IP
-// queue (its cost was charged by the posted work item, to whatever process
-// happened to be running — BSD's accounting).
-func (h *Host) bsdSoftint() {
-	m := h.ipq.Dequeue()
-	if m == nil {
-		return
-	}
-	h.protoInput(m, nil)
-}
-
-// bsdDriverStepQ is bsdDriverStep for one queue of a multi-queue NIC:
-// the same batching interrupt handler, but queue q's ring feeds CPU
-// ci's IP queue and software interrupt. The closures in Host.qStep
-// bind q/ci/k once at construction, so the per-interrupt path
-// allocates nothing.
+// bsdDriverStepQ handles one packet from queue q's ring in the interrupt
+// handler of CPU ci (kernel k), then chains to the next ring entry
+// (batching: the fixed dispatch cost is paid once per interrupt, the
+// per-packet cost per packet). The packet goes to CPU ci's IP queue and
+// software interrupt. Polling runs the same step plus its overload check.
 func (h *Host) bsdDriverStepQ(q, ci int, k *kernel.Kernel) {
-	if m := h.NIC.RxDequeueQ(q); m != nil {
+	ipq := h.ipqs[ci]
+	if m := h.NIC.RxDequeue(q); m != nil {
+		// Queue on the IP queue; drop if full — after the driver has
+		// already invested work in the packet.
 		swEmpty := k.SWPending() == 0
-		if h.ipqs[ci].Enqueue(m) {
+		if ipq.Enqueue(m) {
 			cost := h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty
 			if swEmpty {
 				cost += h.CM.SWDispatchFixed
@@ -79,67 +47,45 @@ func (h *Host) bsdDriverStepQ(q, ci int, k *kernel.Kernel) {
 			k.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftintFns[ci]})
 		}
 	}
-	if h.NIC.RxPendingQ(q) > 0 {
+	if h.Arch == ArchPolling && ipq.Len() >= h.CM.PollEnterThresh {
+		// Overload: protocol processing is falling behind (the IP queue
+		// is backing up). Switch to polled mode; interrupts stay off
+		// until a poll finds the ring drained.
+		h.enterPolledMode()
+		return
+	}
+	if h.NIC.RxPending(q) > 0 {
 		k.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.qStep[q]})
 	} else {
-		h.NIC.IntrDoneQ(q)
+		h.NIC.IntrDone(q)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // SOFT-LRP and Early-Demux: demultiplexing in the host interrupt handler.
 
-func (h *Host) demuxHostIntr() {
-	h.K.PostHW(kernel.WorkItem{
-		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt + h.headDemuxCost(),
-		Fn:   h.demuxDriverStep,
-	})
-}
-
-func (h *Host) demuxDriverStep() {
-	if m := h.NIC.RxDequeue(); m != nil {
-		h.demuxDeliver(m)
-	}
-	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCost(), Fn: h.demuxDriverStep})
-	} else {
-		h.NIC.IntrDone()
-	}
-}
-
-// demuxDriverStepQ is demuxDriverStep for one queue of a multi-queue
-// NIC: queue q's packets are demultiplexed in interrupt context on the
-// queue's assigned CPU k.
+// demuxDriverStepQ demultiplexes one packet from queue q's ring in
+// interrupt context on the queue's assigned CPU k, then chains to the
+// next ring entry.
 func (h *Host) demuxDriverStepQ(q int, k *kernel.Kernel) {
-	if m := h.NIC.RxDequeueQ(q); m != nil {
+	if m := h.NIC.RxDequeue(q); m != nil {
 		h.demuxDeliverOn(k, m)
 	}
-	if h.NIC.RxPendingQ(q) > 0 {
+	if h.NIC.RxPending(q) > 0 {
 		k.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCostQ(q), Fn: h.qStep[q]})
 	} else {
-		h.NIC.IntrDoneQ(q)
+		h.NIC.IntrDone(q)
 	}
 }
 
-// headDemuxCost prices the demultiplexing of the packet the next driver
-// step will dequeue (data-dependent under interpreted filter demux).
-func (h *Host) headDemuxCost() int64 {
-	if h.filterDemux == nil {
-		return h.CM.DemuxCost
-	}
-	m := h.NIC.RxPeek()
-	if m == nil {
-		return h.CM.DemuxCost
-	}
-	return h.demuxCostFor(m.Data)
-}
-
-// headDemuxCostQ is headDemuxCost against one queue's ring.
+// headDemuxCostQ prices the demultiplexing of the packet queue q's next
+// driver step will dequeue (data-dependent under interpreted filter
+// demux).
 func (h *Host) headDemuxCostQ(q int) int64 {
 	if h.filterDemux == nil {
 		return h.CM.DemuxCost
 	}
-	m := h.NIC.RxPeekQ(q)
+	m := h.NIC.RxPeek(q)
 	if m == nil {
 		return h.CM.DemuxCost
 	}
@@ -150,19 +96,15 @@ func (h *Host) headDemuxCostQ(q int) int64 {
 // has already paid the NIC's per-packet cost; classification costs the
 // host nothing.
 func (h *Host) niDemuxProcess(m *mbuf.Mbuf) {
-	h.demuxDeliver(m)
+	h.demuxDeliverOn(h.K, m)
 }
 
-// demuxDeliver classifies a packet and places it on the right NI channel
-// (or socket queue for Early-Demux). Runs in host interrupt context
-// (SOFT-LRP, Early-Demux) or on the NIC processor (NI-LRP).
-//
-//lrp:hotpath
-func (h *Host) demuxDeliver(m *mbuf.Mbuf) { h.demuxDeliverOn(h.K, m) }
-
-// demuxDeliverOn is demuxDeliver in the interrupt context of a specific
-// CPU k: eager follow-up work (Early-Demux softints, foreign-traffic
-// forwarding) stays on the CPU whose queue carried the packet.
+// demuxDeliverOn classifies a packet and places it on the right NI
+// channel (or socket queue for Early-Demux). Runs in the host interrupt
+// context of CPU k (SOFT-LRP, Early-Demux), or on the NIC processor
+// (NI-LRP, with k the boot CPU): eager follow-up work (Early-Demux
+// softints, foreign-traffic forwarding) stays on the CPU whose queue
+// carried the packet.
 //
 //lrp:hotpath
 func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {

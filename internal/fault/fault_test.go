@@ -318,10 +318,10 @@ func TestRingOverrunDropRate(t *testing.T) {
 	const N = 10000
 	for i := 0; i < N; i++ {
 		n.Rx(pktb)
-		if m := n.RxDequeue(); m != nil {
+		if m := n.RxDequeue(0); m != nil {
 			m.Free()
 		}
-		n.IntrDone()
+		n.IntrDone(0)
 	}
 	s := n.Stats()
 	if s.RxPackets != N {
@@ -342,11 +342,11 @@ func TestRingOverrunWindow(t *testing.T) {
 	}
 	pktb := make([]byte, 64)
 	drain := func() bool {
-		m := n.RxDequeue()
+		m := n.RxDequeue(0)
 		if m != nil {
 			m.Free()
 		}
-		n.IntrDone()
+		n.IntrDone(0)
 		return m != nil
 	}
 	n.Rx(pktb) // t=0: before the window

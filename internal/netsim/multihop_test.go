@@ -66,11 +66,11 @@ func TestChainTTLDecrementedPerHop(t *testing.T) {
 			b := pkt.UDPPacket(edge, srv, 99, 7, 1, 64, []byte("abc"), true)
 			eng.At(100, func() { nw.InjectFrom(edge, b) })
 			eng.RunFor(200 * sim.Millisecond)
-			if ns.RxPending() != 1 {
+			if ns.RxPending(0) != 1 {
 				t.Fatalf("server received %d packets, want 1 (g1=%+v g2=%+v net=%+v)",
-					ns.RxPending(), g1.ForwardStats(), g2.ForwardStats(), nw.Stats())
+					ns.RxPending(0), g1.ForwardStats(), g2.ForwardStats(), nw.Stats())
 			}
-			m := ns.RxDequeue()
+			m := ns.RxDequeue(0)
 			ih, _, err := pkt.DecodeIPv4(m.Data)
 			if err != nil {
 				t.Fatal(err)
@@ -98,8 +98,8 @@ func TestChainTTLExpiryDropsMidChain(t *testing.T) {
 			b := pkt.UDPPacket(edge, srv, 99, 7, 1, 2, nil, true)
 			eng.At(100, func() { nw.InjectFrom(edge, b) })
 			eng.RunFor(200 * sim.Millisecond)
-			if ns.RxPending() != 0 {
-				t.Fatalf("server received %d packets, want 0", ns.RxPending())
+			if ns.RxPending(0) != 0 {
+				t.Fatalf("server received %d packets, want 0", ns.RxPending(0))
 			}
 			if g1.ForwardStats().Forwarded != 1 {
 				t.Fatalf("g1 should forward TTL 2 once: %+v", g1.ForwardStats())
@@ -111,10 +111,10 @@ func TestChainTTLExpiryDropsMidChain(t *testing.T) {
 			b3 := pkt.UDPPacket(edge, srv, 99, 7, 2, 3, nil, true)
 			eng.At(eng.Now()+100, func() { nw.InjectFrom(edge, b3) })
 			eng.RunFor(200 * sim.Millisecond)
-			if ns.RxPending() != 1 {
-				t.Fatalf("TTL 3 should survive the 3-hop chain, server got %d", ns.RxPending())
+			if ns.RxPending(0) != 1 {
+				t.Fatalf("TTL 3 should survive the 3-hop chain, server got %d", ns.RxPending(0))
 			}
-			m := ns.RxDequeue()
+			m := ns.RxDequeue(0)
 			if ih, _, err := pkt.DecodeIPv4(m.Data); err != nil || ih.TTL != 1 {
 				t.Fatalf("TTL 3 should arrive as 1, got %v (err %v)", ih.TTL, err)
 			}

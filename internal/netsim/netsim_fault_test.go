@@ -30,14 +30,14 @@ func TestSetFaultsDrop(t *testing.T) {
 	nw.SetFaults(fault.MustNew(fault.LossPlan(9, 1)))
 	eng.At(0, func() { nw.Inject(udpTo(addrB, nil)) })
 	eng.Run()
-	if b.RxPending() != 0 || nw.Stats().Lost != 1 {
-		t.Fatalf("total-loss pipeline: pending=%d stats=%+v", b.RxPending(), nw.Stats())
+	if b.RxPending(0) != 0 || nw.Stats().Lost != 1 {
+		t.Fatalf("total-loss pipeline: pending=%d stats=%+v", b.RxPending(0), nw.Stats())
 	}
 	// Clearing the pipeline restores delivery.
 	nw.SetFaults(nil)
 	eng.At(eng.Now()+1, func() { nw.Inject(udpTo(addrB, nil)) })
 	eng.Run()
-	if b.RxPending() != 1 {
+	if b.RxPending(0) != 1 {
 		t.Fatal("delivery not restored after clearing faults")
 	}
 }
@@ -59,8 +59,8 @@ func TestPortFaultsScopedToPort(t *testing.T) {
 		nw.Inject(udpTo(addrC, nil))
 	})
 	eng.Run()
-	if b.RxPending() != 0 || c.RxPending() != 1 {
-		t.Fatalf("port scoping: b=%d c=%d, want 0/1", b.RxPending(), c.RxPending())
+	if b.RxPending(0) != 0 || c.RxPending(0) != 1 {
+		t.Fatalf("port scoping: b=%d c=%d, want 0/1", b.RxPending(0), c.RxPending(0))
 	}
 	if err := nw.SetPortFaults(pkt.IP(99, 9, 9, 9), nil); err == nil {
 		t.Fatal("SetPortFaults accepted an unattached address")
@@ -77,11 +77,11 @@ func TestFaultReorderOvertakes(t *testing.T) {
 	eng.At(0, func() { nw.Inject(udpTo(addrB, []byte("first"))) })
 	eng.At(200, func() { nw.Inject(udpTo(addrB, []byte("later"))) })
 	eng.Run()
-	if b.RxPending() != 2 {
-		t.Fatalf("delivered %d of 2", b.RxPending())
+	if b.RxPending(0) != 2 {
+		t.Fatalf("delivered %d of 2", b.RxPending(0))
 	}
-	m1 := b.RxDequeue()
-	m2 := b.RxDequeue()
+	m1 := b.RxDequeue(0)
+	m2 := b.RxDequeue(0)
 	p1 := string(m1.Data[pkt.IPv4HeaderLen+pkt.UDPHeaderLen:])
 	if p1 != "later" {
 		t.Fatalf("head of ring is %q; held packet was not overtaken", p1)
@@ -99,10 +99,10 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 		nw.InjectMbuf(pool.AllocCopy(udpTo(addrB, []byte("twin"))))
 	})
 	eng.Run()
-	if b.RxPending() != 2 {
-		t.Fatalf("duplicate delivered %d copies, want 2", b.RxPending())
+	if b.RxPending(0) != 2 {
+		t.Fatalf("duplicate delivered %d copies, want 2", b.RxPending(0))
 	}
-	m1, m2 := b.RxDequeue(), b.RxDequeue()
+	m1, m2 := b.RxDequeue(0), b.RxDequeue(0)
 	if gap := m2.Arrival - m1.Arrival; gap != 40 {
 		t.Fatalf("copy gap %dµs, want 40", gap)
 	}
@@ -121,7 +121,7 @@ func TestFaultCorruptFailsChecksumWithoutTouchingSource(t *testing.T) {
 	saved := append([]byte(nil), orig...)
 	eng.At(0, func() { nw.Inject(orig) })
 	eng.Run()
-	m := b.RxDequeue()
+	m := b.RxDequeue(0)
 	if m == nil {
 		t.Fatal("corrupted packet not delivered")
 	}
@@ -151,8 +151,8 @@ func TestFaultFlapWindowedOutage(t *testing.T) {
 	eng.At(500, func() { nw.Inject(udpTo(addrB, nil)) })  // outage
 	eng.At(1500, func() { nw.Inject(udpTo(addrB, nil)) }) // link up
 	eng.Run()
-	if b.RxPending() != 1 || nw.Stats().Lost != 1 {
-		t.Fatalf("flap: pending=%d stats=%+v, want 1 delivered 1 lost", b.RxPending(), nw.Stats())
+	if b.RxPending(0) != 1 || nw.Stats().Lost != 1 {
+		t.Fatalf("flap: pending=%d stats=%+v, want 1 delivered 1 lost", b.RxPending(0), nw.Stats())
 	}
 }
 
@@ -173,7 +173,7 @@ func TestFaultDeliveryDeterministic(t *testing.T) {
 		eng.Run()
 		var arrivals []sim.Time
 		for {
-			m := b.RxDequeue()
+			m := b.RxDequeue(0)
 			if m == nil {
 				break
 			}

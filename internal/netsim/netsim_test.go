@@ -34,10 +34,10 @@ func TestDelivery(t *testing.T) {
 	p := pkt.UDPPacket(addrA, addrB, 1, 7, 1, 64, []byte("hello"), true)
 	eng.At(0, func() { na.Send(pool.Alloc(p)) })
 	eng.Run()
-	if nb.RxPending() != 1 {
-		t.Fatalf("B received %d packets", nb.RxPending())
+	if nb.RxPending(0) != 1 {
+		t.Fatalf("B received %d packets", nb.RxPending(0))
 	}
-	m := nb.RxDequeue()
+	m := nb.RxDequeue(0)
 	if string(m.Data[pkt.IPv4HeaderLen+pkt.UDPHeaderLen:]) != "hello" {
 		t.Fatal("payload corrupted in transit")
 	}
@@ -64,8 +64,8 @@ func TestInject(t *testing.T) {
 	p := pkt.UDPPacket(addrA, addrB, 1, 7, 1, 64, make([]byte, 14), true)
 	eng.At(0, func() { nw.Inject(p) })
 	eng.Run()
-	if nb.RxPending() != 1 {
-		t.Fatalf("B received %d", nb.RxPending())
+	if nb.RxPending(0) != 1 {
+		t.Fatalf("B received %d", nb.RxPending(0))
 	}
 	if nw.Stats().Injected != 1 || nw.Stats().Delivered != 1 {
 		t.Fatalf("stats %+v", nw.Stats())
@@ -76,7 +76,7 @@ func TestReceiverLinkSerializationLimitsRate(t *testing.T) {
 	// Injecting a large burst instantaneously must deliver packets paced
 	// by the receiver's link bandwidth, not all at once.
 	eng, nw, _, nb := twoHosts(t)
-	nb.OnHostIntr = func() {}
+	nb.OnQueueIntr = func(int) {}
 	var arrivals []sim.Time
 	done := make([]byte, 0)
 	_ = done
@@ -91,13 +91,13 @@ func TestReceiverLinkSerializationLimitsRate(t *testing.T) {
 	var poll func()
 	poll = func() {
 		for {
-			m := nb.RxDequeue()
+			m := nb.RxDequeue(0)
 			if m == nil {
 				break
 			}
 			arrivals = append(arrivals, eng.Now())
 			m.Free()
-			nb.IntrDone()
+			nb.IntrDone(0)
 		}
 		if len(arrivals) < n {
 			eng.After(1, poll)
@@ -133,14 +133,14 @@ func TestThroughputMatchesBandwidth(t *testing.T) {
 	var drain func()
 	drain = func() {
 		for {
-			m := nb.RxDequeue()
+			m := nb.RxDequeue(0)
 			if m == nil {
 				break
 			}
 			rxBytes += m.Len()
 			m.Free()
 		}
-		nb.IntrDone()
+		nb.IntrDone(0)
 		eng.After(100, drain)
 	}
 	eng.At(0, feed)
@@ -180,11 +180,11 @@ func TestMulticastFanoutDelivery(t *testing.T) {
 	eng.At(0, func() { a.Send(pool.Alloc(p)) })
 	eng.Run()
 	// Sender excluded; both others get a copy.
-	if a.RxPending() != 0 {
+	if a.RxPending(0) != 0 {
 		t.Fatal("sender received its own multicast")
 	}
-	if b.RxPending() != 1 || c.RxPending() != 1 {
-		t.Fatalf("fanout: b=%d c=%d", b.RxPending(), c.RxPending())
+	if b.RxPending(0) != 1 || c.RxPending(0) != 1 {
+		t.Fatalf("fanout: b=%d c=%d", b.RxPending(0), c.RxPending(0))
 	}
 }
 
@@ -199,8 +199,8 @@ func TestRouteViaGateway(t *testing.T) {
 		nw.Inject(pkt.UDPPacket(addrA, far, 1, 7, 1, 64, nil, true))
 	})
 	eng.Run()
-	if gw.RxPending() != 1 {
-		t.Fatalf("gateway received %d packets for the routed prefix", gw.RxPending())
+	if gw.RxPending(0) != 1 {
+		t.Fatalf("gateway received %d packets for the routed prefix", gw.RxPending(0))
 	}
 	if nw.Stats().NoRoute != 0 {
 		t.Fatal("routed packet counted as NoRoute")
@@ -228,7 +228,7 @@ func TestLossInjection(t *testing.T) {
 		}
 	})
 	eng.Run()
-	got := b.RxPending()
+	got := b.RxPending(0)
 	lost := int(nw.Stats().Lost)
 	if got+lost != 1000 {
 		t.Fatalf("got %d + lost %d != 1000", got, lost)
@@ -286,8 +286,8 @@ func TestRouteViaGatewayReleasesMbuf(t *testing.T) {
 		nw.InjectMbuf(m)
 	})
 	eng.Run()
-	if gw.RxPending() != 1 {
-		t.Fatalf("gateway received %d", gw.RxPending())
+	if gw.RxPending(0) != 1 {
+		t.Fatalf("gateway received %d", gw.RxPending(0))
 	}
 	if s := pool.Stats(); s.InUse != 0 {
 		t.Fatalf("routed mbuf leaked: %d still in use", s.InUse)
@@ -302,14 +302,14 @@ func TestMulticastFanoutOrderDeterministic(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := New(eng)
 		var firing []string
-		hook := func(name string) func() {
-			return func() { firing = append(firing, name) }
+		hook := func(name string) func(int) {
+			return func(int) { firing = append(firing, name) }
 		}
 		addrs := []pkt.Addr{pkt.IP(10, 0, 0, 3), addrB, pkt.IP(10, 0, 0, 4)}
 		names := []string{"c", "b", "d"}
 		for i, a := range addrs {
 			n := nic.New(eng, nic.Config{Name: names[i], Mode: nic.ModeRaw})
-			n.OnHostIntr = hook(names[i])
+			n.OnQueueIntr = hook(names[i])
 			nw.Attach(n, a, mbps155, 10)
 		}
 		p := pkt.UDPPacket(addrA, pkt.IP(224, 0, 0, 9), 1, 5353, 1, 64, []byte("m"), true)
@@ -359,8 +359,8 @@ func TestMulticastFanoutReleasesAllReferences(t *testing.T) {
 		nw.InjectMbuf(m)
 	})
 	eng.Run()
-	if b.RxPending() != 1 || c.RxPending() != 1 {
-		t.Fatalf("fanout: b=%d c=%d", b.RxPending(), c.RxPending())
+	if b.RxPending(0) != 1 || c.RxPending(0) != 1 {
+		t.Fatalf("fanout: b=%d c=%d", b.RxPending(0), c.RxPending(0))
 	}
 	if s := pool.Stats(); s.InUse != 0 {
 		t.Fatalf("fanout leaked: %d in use", s.InUse)

@@ -36,8 +36,8 @@ func TestPerPortRoutePrecedesDirectAttachment(t *testing.T) {
 	p := pkt.UDPPacket(addrA, addrC, 1, 7, 1, 64, nil, true)
 	eng.At(0, func() { na.Send(pool.Alloc(p)) })
 	eng.Run()
-	if nb.RxPending() != 1 || nc.RxPending() != 0 {
-		t.Fatalf("B got %d, C got %d; want the next-hop (B) to receive", nb.RxPending(), nc.RxPending())
+	if nb.RxPending(0) != 1 || nc.RxPending(0) != 0 {
+		t.Fatalf("B got %d, C got %d; want the next-hop (B) to receive", nb.RxPending(0), nc.RxPending(0))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestPerPortRouteOnlyAffectsThatPort(t *testing.T) {
 	p := pkt.UDPPacket(addrB, addrC, 1, 7, 1, 64, nil, true)
 	eng.At(0, func() { nb.Send(pool.Alloc(p)) })
 	eng.Run()
-	if nc.RxPending() != 1 {
-		t.Fatalf("C got %d; direct delivery broken by another port's route", nc.RxPending())
+	if nc.RxPending(0) != 1 {
+		t.Fatalf("C got %d; direct delivery broken by another port's route", nc.RxPending(0))
 	}
 }
 
@@ -65,14 +65,14 @@ func TestInjectFromObservesPortRoutes(t *testing.T) {
 	p := pkt.UDPPacket(addrA, addrC, 1, 7, 1, 64, nil, true)
 	eng.At(0, func() { nw.InjectFrom(addrA, p) })
 	eng.Run()
-	if nb.RxPending() != 1 || nc.RxPending() != 0 {
-		t.Fatalf("B got %d, C got %d; InjectFrom must follow A's routes", nb.RxPending(), nc.RxPending())
+	if nb.RxPending(0) != 1 || nc.RxPending(0) != 0 {
+		t.Fatalf("B got %d, C got %d; InjectFrom must follow A's routes", nb.RxPending(0), nc.RxPending(0))
 	}
 	// Plain Inject has no source port and still delivers directly.
 	eng.At(eng.Now()+1, func() { nw.Inject(p) })
 	eng.Run()
-	if nc.RxPending() != 1 {
-		t.Fatalf("C got %d after plain Inject", nc.RxPending())
+	if nc.RxPending(0) != 1 {
+		t.Fatalf("C got %d after plain Inject", nc.RxPending(0))
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package nic models a network interface adaptor: a bounded receive ring
-// with host-interrupt signalling, a transmit interface queue drained at
-// link speed, an optional embedded processor (as on the FORE SBA-200's
-// i960) that can run the LRP demultiplexing function on the adaptor, and
-// the NI channel structure shared between the adaptor and the kernel.
+// Package nic models a network interface adaptor: one or more bounded
+// receive rings, each with its own host-interrupt line (a single-ring
+// adaptor is the one-queue case, and an RSS hash spreads flows over
+// several), a transmit interface queue drained at link speed, an optional
+// embedded processor (as on the FORE SBA-200's i960) that can run the LRP
+// demultiplexing function on the adaptor, and the NI channel structure
+// shared between the adaptor and the kernel.
 //
 // The NIC is policy-free: what happens when a packet is received — raise
 // an interrupt per packet (BSD), demultiplex in the interrupt handler
@@ -46,9 +48,9 @@ type Stats struct {
 	// Queues sums to the aggregate; RxPackets over Queues counts the
 	// packets steered to a ring (aggregate RxPackets minus fault drops
 	// and ModeSmart traffic); HostIntrs over Queues counts ring-raised
-	// interrupts (interrupts raised on behalf of the embedded processor
-	// via RaiseIntr belong to an NI channel, not a ring, and count only
-	// in the aggregate).
+	// interrupts (interrupts raised via RaiseIntr — for an NI channel, or
+	// spuriously — are not a ring's doing and count only in the
+	// aggregate).
 	Queues []QueueStats
 }
 
@@ -72,17 +74,11 @@ type NIC struct {
 	// Mode selects the receive path.
 	Mode Mode
 
-	// OnHostIntr is invoked (in engine context) when the adaptor raises a
-	// host interrupt: on ring empty->nonempty transitions in ModeRaw, or
-	// when requested by a channel in ModeSmart. The architecture layer
-	// typically posts hardware-interrupt work to the kernel here.
-	OnHostIntr func()
-
-	// OnQueueIntr, when non-nil, replaces OnHostIntr for receive-ring
-	// interrupts and identifies which queue raised the line. A
-	// multi-queue architecture layer installs it to route each queue's
-	// interrupt to its affinity-mapped CPU; single-queue configurations
-	// leave it nil and keep the legacy OnHostIntr wiring.
+	// OnQueueIntr is invoked (in engine context) when receive queue q
+	// raises its host interrupt line: on the ring's empty->nonempty
+	// transition (ModeRaw), or for queue 0 when RaiseIntr fires in
+	// ModeRaw. The architecture layer posts hardware-interrupt work to
+	// queue q's CPU here. A single-queue NIC is the case q == 0.
 	OnQueueIntr func(q int)
 
 	// OnNICProcess runs on the embedded processor for each received packet
@@ -268,45 +264,28 @@ func (n *NIC) Rx(b []byte) {
 	}
 }
 
-// raiseRing invokes the interrupt callback for queue q's ring: the
-// per-queue line when installed, else the legacy single line.
+// raiseRing invokes the interrupt callback for queue q's ring.
 func (n *NIC) raiseRing(q int) {
 	if n.OnQueueIntr != nil {
 		n.OnQueueIntr(q)
-		return
-	}
-	if n.OnHostIntr != nil {
-		n.OnHostIntr()
 	}
 }
 
-// RxDequeue removes the next packet from receive queue 0 (driver code in
-// host interrupt context). It returns nil when the ring is empty.
-func (n *NIC) RxDequeue() *mbuf.Mbuf { return n.rxq[0].ring.Dequeue() }
+// RxDequeue removes the next packet from receive queue q's ring (driver
+// code in host interrupt context). It returns nil when the ring is empty.
+func (n *NIC) RxDequeue(q int) *mbuf.Mbuf { return n.rxq[q].ring.Dequeue() }
 
-// RxDequeueQ removes the next packet from receive queue q's ring.
-func (n *NIC) RxDequeueQ(q int) *mbuf.Mbuf { return n.rxq[q].ring.Dequeue() }
-
-// RxPeek returns queue 0's ring head without removing it (drivers use it
+// RxPeek returns queue q's ring head without removing it (drivers use it
 // to price data-dependent interrupt work before performing it).
-func (n *NIC) RxPeek() *mbuf.Mbuf { return n.rxq[0].ring.Peek() }
+func (n *NIC) RxPeek(q int) *mbuf.Mbuf { return n.rxq[q].ring.Peek() }
 
-// RxPeekQ returns queue q's ring head without removing it.
-func (n *NIC) RxPeekQ(q int) *mbuf.Mbuf { return n.rxq[q].ring.Peek() }
+// RxPending returns the number of packets waiting in queue q's ring.
+func (n *NIC) RxPending(q int) int { return n.rxq[q].ring.Len() }
 
-// RxPending returns the number of packets waiting in queue 0's ring.
-func (n *NIC) RxPending() int { return n.rxq[0].ring.Len() }
-
-// RxPendingQ returns the number of packets waiting in queue q's ring.
-func (n *NIC) RxPendingQ(q int) int { return n.rxq[q].ring.Len() }
-
-// IntrDone re-enables queue 0's receive interrupts after the driver has
-// drained the ring. If packets arrived meanwhile, a new interrupt is
+// IntrDone re-enables queue q's receive interrupt after the driver has
+// drained its ring. If packets arrived meanwhile, a new interrupt is
 // raised immediately (engine context).
-func (n *NIC) IntrDone() { n.IntrDoneQ(0) }
-
-// IntrDoneQ is IntrDone for receive queue q.
-func (n *NIC) IntrDoneQ(q int) {
+func (n *NIC) IntrDone(q int) {
 	rq := &n.rxq[q]
 	rq.intrPending = false
 	if n.intrDisabled {
@@ -340,13 +319,16 @@ func (n *NIC) SetIntrEnabled(enabled bool) {
 	}
 }
 
-// RaiseIntr raises a host interrupt on behalf of the embedded processor
-// (ModeSmart), e.g. when a channel transitions empty->nonempty and the
-// receiver requested interrupts.
+// RaiseIntr raises a host interrupt outside the ring's own signalling: on
+// behalf of the embedded processor (ModeSmart), e.g. when a channel
+// transitions empty->nonempty and the receiver requested interrupts, or
+// spuriously. In ModeSmart it only counts the interrupt; the caller posts
+// the host work. In ModeRaw it raises queue 0's line without marking it
+// pending, so the driver runs and finds the ring as it is.
 func (n *NIC) RaiseIntr() {
 	n.stats.HostIntrs++
-	if n.OnHostIntr != nil {
-		n.OnHostIntr()
+	if n.Mode == ModeRaw {
+		n.raiseRing(0)
 	}
 }
 

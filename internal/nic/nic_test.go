@@ -15,20 +15,20 @@ func TestRawRxRaisesOneInterruptPerBatch(t *testing.T) {
 	eng := sim.NewEngine()
 	n := rawNIC(eng)
 	intrs := 0
-	n.OnHostIntr = func() { intrs++ }
+	n.OnQueueIntr = func(int) { intrs++ }
 	n.Rx(make([]byte, 10))
 	n.Rx(make([]byte, 10))
 	n.Rx(make([]byte, 10))
 	if intrs != 1 {
 		t.Fatalf("interrupts = %d, want 1 (coalesced while pending)", intrs)
 	}
-	if n.RxPending() != 3 {
-		t.Fatalf("ring = %d", n.RxPending())
+	if n.RxPending(0) != 3 {
+		t.Fatalf("ring = %d", n.RxPending(0))
 	}
 	// Drain and complete: no packets left, no new interrupt.
-	for n.RxDequeue() != nil {
+	for n.RxDequeue(0) != nil {
 	}
-	n.IntrDone()
+	n.IntrDone(0)
 	if intrs != 1 {
 		t.Fatalf("interrupts = %d after drain", intrs)
 	}
@@ -43,14 +43,14 @@ func TestIntrDoneReRaisesWhenRingNonEmpty(t *testing.T) {
 	eng := sim.NewEngine()
 	n := rawNIC(eng)
 	intrs := 0
-	n.OnHostIntr = func() { intrs++ }
+	n.OnQueueIntr = func(int) { intrs++ }
 	n.Rx(make([]byte, 10))
-	n.RxDequeue().Free()
+	n.RxDequeue(0).Free()
 	n.Rx(make([]byte, 10)) // arrives while handler still running: no new intr
 	if intrs != 1 {
 		t.Fatalf("interrupts = %d", intrs)
 	}
-	n.IntrDone() // ring non-empty -> immediate re-raise
+	n.IntrDone(0) // ring non-empty -> immediate re-raise
 	if intrs != 2 {
 		t.Fatalf("interrupts = %d, want 2", intrs)
 	}

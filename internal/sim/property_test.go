@@ -129,14 +129,17 @@ type refSched struct {
 
 func (s *refSched) now() int64 { return s.e.now }
 func (s *refSched) next() int64 {
-	// Min over live entries; the heap root may be a cancelled tombstone.
-	min := int64(math.MaxInt64)
-	for _, ev := range s.e.h {
-		if !ev.cancelled && ev.fn != nil && ev.when < min {
-			min = ev.when
-		}
+	// The root is the minimum once cancelled tombstones are popped off it;
+	// step would skip them anyway, so popping them early leaves the fire
+	// order untouched. (Fired entries have already left the heap.)
+	h := &s.e.h
+	for len(*h) > 0 && (*h)[0].cancelled {
+		heap.Pop(h)
 	}
-	return min
+	if len(*h) == 0 {
+		return math.MaxInt64
+	}
+	return (*h)[0].when
 }
 func (s *refSched) at(t int64, fn func()) (func(), func() bool) {
 	ev := s.e.at(t, fn)
@@ -158,7 +161,7 @@ const propSources = 24
 type propWorld struct {
 	s     propSched
 	rng   *Rand
-	trace []string
+	trace []traceEntry
 
 	// Live cancellable handles, as parallel slices (cancel, active).
 	cancels []func()
@@ -173,8 +176,37 @@ type propWorld struct {
 	nextID int
 }
 
+// traceEntry is one observation of the program: kind says which, at is
+// the simulated time it was made, v is the observed value. Entries compare
+// with ==; they are formatted only to report a divergence.
+type traceEntry struct {
+	kind byte // traceFire, traceNext, traceCancel or tracePending
+	at   int64
+	v    int64
+}
+
+const (
+	traceFire    byte = iota // v: event id
+	traceNext                // v: NextEventTime
+	traceCancel              // v: 1 if the handle was still active
+	tracePending             // v: events left after the final drain
+)
+
+func (e traceEntry) String() string {
+	switch e.kind {
+	case traceFire:
+		return fmt.Sprintf("t=%d id=%d", e.at, e.v)
+	case traceNext:
+		return fmt.Sprintf("next@%d=%d", e.at, e.v)
+	case traceCancel:
+		return fmt.Sprintf("cancel@%d active=%v", e.at, e.v == 1)
+	default:
+		return fmt.Sprintf("PENDING LEFT: %d", e.v)
+	}
+}
+
 func (w *propWorld) record(id int) {
-	w.trace = append(w.trace, fmt.Sprintf("t=%d id=%d", w.s.now(), id))
+	w.trace = append(w.trace, traceEntry{traceFire, w.s.now(), int64(id)})
 }
 
 // fire builds the callback for event id: record, then maybe do nested work
@@ -262,7 +294,7 @@ func (w *propWorld) probeCachedWinner(id int) {
 	w.cancels = append(w.cancels, c)
 	w.actives = append(w.actives, a)
 	nt := w.s.next()
-	w.trace = append(w.trace, fmt.Sprintf("next@%d=%d", now, nt))
+	w.trace = append(w.trace, traceEntry{traceNext, now, nt})
 	d := 700 + w.rng.Int63n(400)
 	if gap := nt - now; gap > 1200 && gap < int64(1)<<wheelBits {
 		// The queue head is far out: start just below it so every
@@ -289,7 +321,11 @@ func (w *propWorld) cancelOne() {
 		return
 	}
 	i := int(w.rng.Int63n(int64(len(w.cancels))))
-	w.trace = append(w.trace, fmt.Sprintf("cancel@%d active=%v", w.s.now(), w.actives[i]()))
+	active := int64(0)
+	if w.actives[i]() {
+		active = 1
+	}
+	w.trace = append(w.trace, traceEntry{traceCancel, w.s.now(), active})
 	w.cancels[i]()
 	n := len(w.cancels) - 1
 	w.cancels[i] = w.cancels[n]
@@ -324,7 +360,7 @@ func (w *propWorld) run(steps int) {
 	for w.s.step() {
 	}
 	if w.s.pending() != 0 {
-		w.trace = append(w.trace, fmt.Sprintf("PENDING LEFT: %d", w.s.pending()))
+		w.trace = append(w.trace, traceEntry{kind: tracePending, v: int64(w.s.pending())})
 	}
 }
 
